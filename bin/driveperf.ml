@@ -105,6 +105,18 @@ let corpus_arg =
   let doc = "Corpus file (dptrace format). Generated on the fly if absent." in
   Arg.(value & opt (some string) None & info [ "corpus"; "c" ] ~docv:"FILE" ~doc)
 
+(* Integer options with a floor: an out-of-range value is a usage error
+   reported by cmdliner, not an [Invalid_argument] escaping from
+   [List.nth_opt] or a buffer allocation later on. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let seed_arg =
   let doc = "PRNG seed for corpus generation." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -193,6 +205,21 @@ let print_coverage (cov : Dpcore.Pipeline.coverage) =
     Dputil.Table.print (Dpcore.Report.stream_coverage cov);
     print_newline ()
   end
+
+(* A scenario named on the command line must have a spec in the corpus;
+   otherwise say which names do, and fail with exit code 1, instead of
+   letting Classify's [Not_found] escape as an uncaught exception. *)
+let with_scenario corpus scenario f =
+  match Dptrace.Corpus.find_spec corpus scenario with
+  | Some _ -> f ()
+  | None ->
+    Printf.eprintf "unknown scenario %s (the corpus has specs for: %s)\n"
+      scenario
+      (String.concat ", "
+         (List.map
+            (fun (s : Dptrace.Scenario.spec) -> s.Dptrace.Scenario.name)
+            corpus.Dptrace.Corpus.specs));
+    1
 
 (* Run [f pool] with a pool of [j] domains (0 = auto), shut down after. *)
 let with_cli_pool j f =
@@ -460,6 +487,7 @@ let causality corpus pats scenario k top j mode faults obs =
   let corpus = read_corpus ~pool ~mode corpus in
   let corpus, cov = screen_corpus corpus in
   print_coverage cov;
+  with_scenario corpus scenario @@ fun () ->
   let r = Dpcore.Pipeline.run_scenario ~pool ~k components corpus scenario in
   let f, m, s = Dpcore.Classify.counts r.Dpcore.Pipeline.classification in
   Format.printf "scenario %s: %d instances (fast %d / middle %d / slow %d)@."
@@ -659,6 +687,7 @@ let validate_cmd =
 
 let dot corpus scenario out mode =
   let corpus = read_corpus ~mode corpus in
+  with_scenario corpus scenario @@ fun () ->
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   let text = Dpcore.Awg.to_dot r.Dpcore.Pipeline.slow_awg in
   (match out with
@@ -816,6 +845,8 @@ let convert_cmd =
 let diff before after scenario threshold min_support json mode =
   let before_c = load_corpus ~mode before
   and after_c = load_corpus ~mode after in
+  with_scenario before_c scenario @@ fun () ->
+  with_scenario after_c scenario @@ fun () ->
   let run c = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers c scenario in
   let rb = run before_c and ra = run after_c in
   let entries =
@@ -910,6 +941,7 @@ let baseline_cmd =
 
 let witness corpus scenario rank limit mode =
   let corpus = read_corpus ~mode corpus in
+  with_scenario corpus scenario @@ fun () ->
   let r = Dpcore.Pipeline.run_scenario Dpcore.Component.drivers corpus scenario in
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
@@ -942,7 +974,7 @@ let witness_cmd =
   in
   let rank =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "rank" ] ~docv:"N" ~doc:"Which ranked pattern to trace back (1-based).")
   in
   let limit =
@@ -983,6 +1015,7 @@ let explain_component ~pool ~timeline components corpus name =
     0
 
 let explain_pattern ~pool ~timeline components corpus scenario rank limit =
+  with_scenario corpus scenario @@ fun () ->
   let r = Dpcore.Pipeline.run_scenario ~pool components corpus scenario in
   let patterns = r.Dpcore.Pipeline.mining.Dpcore.Mining.patterns in
   match List.nth_opt patterns (rank - 1) with
@@ -1072,7 +1105,7 @@ let explain_cmd =
   in
   let rank =
     Arg.(
-      value & opt int 1
+      value & opt (int_at_least 1) 1
       & info [ "rank"; "pattern" ] ~docv:"N"
           ~doc:"Which ranked pattern to drill into (1-based, default 1).")
   in
@@ -1140,14 +1173,12 @@ let export_trace corpus scenario slow fast rank out pats j mode obs =
   let components = components_of pats in
   with_cli_pool j @@ fun pool ->
   let corpus = read_corpus ~pool ~mode corpus in
+  with_scenario corpus scenario @@ fun () ->
   let exemplars =
     match rank with
-    | None -> (
-      match Dpcore.Classify.classify corpus scenario with
-      | exception Not_found ->
-        Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
-        []
-      | c -> Dpviz.Trace_export.exemplars_of_classes ~slow ~fast c)
+    | None ->
+      Dpviz.Trace_export.exemplars_of_classes ~slow ~fast
+        (Dpcore.Classify.classify corpus scenario)
     | Some rank -> (
       (* Provenance-resolved exemplars: the instances that realise the
          ranked contrast pattern, their matched chains as markers. *)
@@ -1200,7 +1231,7 @@ let export_trace_cmd =
   let rank =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 1)) None
       & info [ "rank"; "pattern" ] ~docv:"N"
           ~doc:
             "Export the witness instances of the N-th ranked contrast \
@@ -1228,28 +1259,25 @@ let flame corpus scenario out_dir slow fast top pats j mode obs =
   let components = components_of pats in
   with_cli_pool j @@ fun _pool ->
   let corpus = read_corpus ~mode corpus in
-  match Dpcore.Classify.classify corpus scenario with
-  | exception Not_found ->
-    Printf.eprintf "no spec for scenario %s in the corpus\n" scenario;
-    1
-  | c ->
-    let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir c in
-    List.iter (Printf.printf "wrote %s\n") b.Dpviz.Bundle.files;
-    let nf, _, ns = Dpcore.Classify.counts c in
-    Printf.printf
-      "\nslow-vs-fast differential (%d slow vs %d fast instance(s)), \
-       per-instance AWG cost growth:\n"
-      ns nf;
-    if b.Dpviz.Bundle.diff = [] then
-      print_endline "  (no positive slow-minus-fast path)"
-    else
-      List.iteri
-        (fun i (path, delta) ->
-          if i < top then
-            Printf.printf "  #%d  +%dus  %s\n" (i + 1) delta
-              (String.concat ";" path))
-        b.Dpviz.Bundle.diff;
-    0
+  with_scenario corpus scenario @@ fun () ->
+  let c = Dpcore.Classify.classify corpus scenario in
+  let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir c in
+  List.iter (Printf.printf "wrote %s\n") b.Dpviz.Bundle.files;
+  let nf, _, ns = Dpcore.Classify.counts c in
+  Printf.printf
+    "\nslow-vs-fast differential (%d slow vs %d fast instance(s)), \
+     per-instance AWG cost growth:\n"
+    ns nf;
+  if b.Dpviz.Bundle.diff = [] then
+    print_endline "  (no positive slow-minus-fast path)"
+  else
+    List.iteri
+      (fun i (path, delta) ->
+        if i < top then
+          Printf.printf "  #%d  +%dus  %s\n" (i + 1) delta
+            (String.concat ";" path))
+      b.Dpviz.Bundle.diff;
+  0
 
 let flame_cmd =
   let scenario =
@@ -1330,11 +1358,14 @@ let timeline_cmd =
   let instance_index =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 0)) None
       & info [ "instance" ] ~docv:"I" ~doc:"Zoom to the I-th instance (0-based).")
   in
   let width =
-    Arg.(value & opt int 72 & info [ "width" ] ~docv:"COLS" ~doc:"Timeline columns.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 72
+      & info [ "width" ] ~docv:"COLS" ~doc:"Timeline columns.")
   in
   Cmd.v
     (Cmd.info "timeline" ~doc:"ASCII thread timeline of a trace stream")

@@ -46,12 +46,12 @@ type t = {
 type cnode = { cstatus : status; ccost : Dputil.Time.t; ckids : cnode list }
 
 let convert components (g : Wait_graph.t) =
-  let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let visited = Bytes.make g.Wait_graph.size '\000' in
   let rec conv (n : Wait_graph.node) : cnode list =
     let e = n.Wait_graph.event in
-    if Hashtbl.mem visited e.Event.id then []
+    if Char.equal (Bytes.get visited n.Wait_graph.id) '\001' then []
     else begin
-      Hashtbl.replace visited e.Event.id ();
+      Bytes.set visited n.Wait_graph.id '\001';
       match e.Event.kind with
       | Event.Unwait -> [] (* never a graph child; pairing held in [waker] *)
       | Event.Running ->

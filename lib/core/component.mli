@@ -5,6 +5,10 @@
     frames against the wildcard ["*.sys"] (Section 5.1). *)
 
 type t
+(** A compiled component set. It also carries a verdict table indexed by
+    interned signature id, so each distinct signature is glob-matched
+    once and every later test is one array load. The table is safe to
+    share across domains (see the implementation notes). *)
 
 val of_patterns : string list -> t
 (** Compile wildcard patterns over module names. *)

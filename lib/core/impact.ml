@@ -22,30 +22,75 @@ let empty =
     counted_runs = 0;
   }
 
+(* The distinct-event sets behind d_waitdist and m_waitdist: one bitset
+   per stream over its event ids, so marking an event allocates nothing.
+   Keyed by stream id like the (stream, event) pairs they replace. *)
+module Marks = struct
+  type t = {
+    by_stream : (int, Bytes.t) Hashtbl.t;
+    mutable last_id : int;
+    mutable last : Bytes.t;
+  }
+
+  let create () = { by_stream = Hashtbl.create 8; last_id = 0; last = Bytes.empty }
+
+  let for_stream t (st : Dptrace.Stream.t) =
+    let id = st.Dptrace.Stream.id in
+    let need = (Array.length st.Dptrace.Stream.events + 7) / 8 in
+    if id = t.last_id && Bytes.length t.last >= need then t.last
+    else begin
+      let bits =
+        match Hashtbl.find_opt t.by_stream id with
+        | Some b when Bytes.length b >= need -> b
+        | found ->
+          (* Two streams may share an id; their events then share marks,
+             exactly as the pairs did. Grow to the larger one. *)
+          let b = Bytes.make need '\000' in
+          Option.iter (fun old -> Bytes.blit old 0 b 0 (Bytes.length old)) found;
+          Hashtbl.replace t.by_stream id b;
+          b
+      in
+      t.last_id <- id;
+      t.last <- bits;
+      bits
+    end
+
+  (* Mark event [eid]; true iff it was not marked yet. *)
+  let add bits eid =
+    let i = eid lsr 3 and m = 1 lsl (eid land 7) in
+    let b = Char.code (Bytes.get bits i) in
+    b land m = 0
+    && begin
+      Bytes.set bits i (Char.unsafe_chr (b lor m));
+      true
+    end
+end
+
 let analyze_graphs_into ?collector components graphs =
-  (* (stream id, event id) → cost, across all instances: the distinct-wait
-     set whose total is d_waitdist. *)
-  let distinct : (int * int, Dputil.Time.t) Hashtbl.t = Hashtbl.create 1024 in
+  let marks = Marks.create () in
+  let d_waitdist = ref 0 in
   let acc = ref empty in
   let measure_graph (g : Wait_graph.t) =
     let stream_id = g.Wait_graph.stream.Dptrace.Stream.id in
+    let distinct = Marks.for_stream marks g.Wait_graph.stream in
     let d_scn = Dptrace.Scenario.duration g.Wait_graph.instance in
     let iref =
       lazy (Provenance.ref_of g.Wait_graph.stream g.Wait_graph.instance)
     in
     (* Top-level component waits: BFS that counts a matching wait and does
        not descend into it. Per-graph visited set keeps the DAG linear. *)
-    let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let visited = Bytes.make g.Wait_graph.size '\000' in
     let d_wait = ref 0 and counted_waits = ref 0 in
     let rec bfs (n : Wait_graph.node) =
       let e = n.Wait_graph.event in
-      if not (Hashtbl.mem visited e.Event.id) then begin
-        Hashtbl.replace visited e.Event.id ();
+      if Char.equal (Bytes.get visited n.Wait_graph.id) '\000' then begin
+        Bytes.set visited n.Wait_graph.id '\001';
         if Event.is_wait e && Component.stack_relevant components e.Event.stack
         then begin
           d_wait := !d_wait + e.Event.cost;
           incr counted_waits;
-          Hashtbl.replace distinct (stream_id, e.Event.id) e.Event.cost;
+          if Marks.add distinct e.Event.id then
+            d_waitdist := !d_waitdist + e.Event.cost;
           match collector with
           | Some c ->
             let signature = Component.event_signature_or_top components e in
@@ -85,8 +130,7 @@ let analyze_graphs_into ?collector components graphs =
       }
   in
   List.iter measure_graph graphs;
-  let d_waitdist = Hashtbl.fold (fun _ cost total -> total + cost) distinct 0 in
-  { !acc with d_waitdist }
+  { !acc with d_waitdist = !d_waitdist }
 
 let analyze_graphs components graphs = analyze_graphs_into components graphs
 
@@ -177,10 +221,10 @@ type module_row = {
 
 type module_cell = {
   mutable c_wait : Dputil.Time.t;
+  mutable c_waitdist : Dputil.Time.t;
   mutable c_run : Dputil.Time.t;
   mutable c_counted : int;
   mutable c_max : Dputil.Time.t;
-  distinct : (int * int, Dputil.Time.t) Hashtbl.t;
 }
 
 let by_module components graphs =
@@ -189,9 +233,7 @@ let by_module components graphs =
     match Hashtbl.find_opt cells name with
     | Some c -> c
     | None ->
-      let c =
-        { c_wait = 0; c_run = 0; c_counted = 0; c_max = 0; distinct = Hashtbl.create 64 }
-      in
+      let c = { c_wait = 0; c_waitdist = 0; c_run = 0; c_counted = 0; c_max = 0 } in
       Hashtbl.replace cells name c;
       c
   in
@@ -200,14 +242,17 @@ let by_module components graphs =
       (fun s -> Dptrace.Signature.module_part s)
       (Component.event_signature components e)
   in
+  (* An event's module is a function of the event, so one distinct-event
+     set serves every module's m_waitdist. *)
+  let marks = Marks.create () in
   List.iter
     (fun (g : Wait_graph.t) ->
-      let stream_id = g.Wait_graph.stream.Dptrace.Stream.id in
-      let visited : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let distinct = Marks.for_stream marks g.Wait_graph.stream in
+      let visited = Bytes.make g.Wait_graph.size '\000' in
       let rec bfs (n : Wait_graph.node) =
         let e = n.Wait_graph.event in
-        if not (Hashtbl.mem visited e.Event.id) then begin
-          Hashtbl.replace visited e.Event.id ();
+        if Char.equal (Bytes.get visited n.Wait_graph.id) '\000' then begin
+          Bytes.set visited n.Wait_graph.id '\001';
           if Event.is_wait e && Component.stack_relevant components e.Event.stack
           then begin
             match module_of e with
@@ -216,7 +261,8 @@ let by_module components graphs =
               c.c_wait <- c.c_wait + e.Event.cost;
               c.c_counted <- c.c_counted + 1;
               if e.Event.cost > c.c_max then c.c_max <- e.Event.cost;
-              Hashtbl.replace c.distinct (stream_id, e.Event.id) e.Event.cost
+              if Marks.add distinct e.Event.id then
+                c.c_waitdist <- c.c_waitdist + e.Event.cost
             | None -> ()
           end
           else List.iter bfs n.Wait_graph.children
@@ -237,7 +283,7 @@ let by_module components graphs =
       {
         module_name;
         m_wait = c.c_wait;
-        m_waitdist = Hashtbl.fold (fun _ cost t -> t + cost) c.distinct 0;
+        m_waitdist = c.c_waitdist;
         m_run = c.c_run;
         m_counted_waits = c.c_counted;
         m_max_wait = c.c_max;

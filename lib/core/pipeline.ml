@@ -13,9 +13,13 @@ type scenario_result = {
 (* Stage spans: one span per pipeline stage per scenario, recorded on
    whichever domain runs the stage, so a pooled run_all shows its
    scenario fan-out per domain in the Chrome trace. The scenarios_done
-   counter drives the --progress line. *)
+   counter drives the --progress line. Like every metric handle in the
+   library it is looked up in the registry (a mutex-guarded
+   get-or-create) where it is used, never held in a global [lazy]: pool
+   workers would force that from several domains at once, and OCaml 5
+   raises [CamlinternalLazy.Undefined] when they do. *)
 let span = Dpobs.Span.with_span
-let scenarios_done = lazy (Dpobs.Metrics.counter "pipeline.scenarios_done")
+let scenarios_done () = Dpobs.Metrics.counter "pipeline.scenarios_done"
 
 let build_graphs ?pool _corpus entries =
   span "pipeline.build_graphs" @@ fun () ->
@@ -120,7 +124,7 @@ let impact_per_scenario ?pool components corpus =
     let graphs = build_graphs corpus (Dptrace.Corpus.instances_of corpus name) in
     let r = (name, Impact.analyze_graphs components graphs) in
     if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+      Dpobs.Metrics.incr (scenarios_done ());
     r
   in
   let names = Dptrace.Corpus.scenario_names corpus in
@@ -148,7 +152,7 @@ let run_all ?pool ?k ?reduce ?scenarios components corpus =
       | exception Not_found -> None
     in
     if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+      Dpobs.Metrics.incr (scenarios_done ());
     r
   in
   (match pool with
@@ -197,7 +201,7 @@ let impact_per_scenario_snap snapshot corpus =
             (Snapshot.entry_scenario_impact e name))
     in
     if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+      Dpobs.Metrics.incr (scenarios_done ());
     (name, r)
   in
   List.map impact_of (Dptrace.Corpus.scenario_names corpus)
@@ -287,7 +291,7 @@ let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
       | exception Not_found -> None
     in
     if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (Lazy.force scenarios_done);
+      Dpobs.Metrics.incr (scenarios_done ());
     r
   in
   (match pool with

@@ -61,11 +61,19 @@ module Topk = struct
     take cap items
 
   let add t x =
-    let rec insert = function
-      | [] -> [ x ]
-      | y :: rest -> if t.compare x y <= 0 then x :: y :: rest else y :: insert rest
+    (* Reject without allocating when [x] would land past the cap —
+       the common case once a reservoir is full. *)
+    let rec lands i = function
+      | [] -> i < t.cap
+      | y :: rest -> i < t.cap && (t.compare x y <= 0 || lands (i + 1) rest)
     in
-    { t with items = truncate t.cap (insert t.items) }
+    if not (lands 0 t.items) then t
+    else
+      let rec insert = function
+        | [] -> [ x ]
+        | y :: rest -> if t.compare x y <= 0 then x :: y :: rest else y :: insert rest
+      in
+      { t with items = truncate t.cap (insert t.items) }
 
   let add_list t xs = List.fold_left add t xs
 
@@ -244,66 +252,98 @@ let merge_impact a b =
 
 module Collector = struct
   (* Full (stream, event) -> record tables while the pass runs — the
-     same cardinality as the analysis' own distinct-wait table — reduced
-     to top-K reservoirs once at [impact]. *)
+     same cardinality as the analysis' own distinct-wait set — reduced
+     to top-K reservoirs once at [impact]. Keys are packed ints: each
+     stream id seen gets a dense ordinal in the high bits, the event id
+     (an array index, far below 2^32) fills the low ones. Repeat visits
+     bump a mutable multiplicity instead of rebuilding the record. *)
+  type cell = {
+    first : wait_record;
+    mutable multiplicity : int;
+    module_name : string;  (* waits only; [""] for runs *)
+  }
+
   type t = {
     cap : int;
-    waits : (int * int, wait_record) Hashtbl.t;
-    runs : (int * int, wait_record) Hashtbl.t;
-    modules : (int * int, string) Hashtbl.t;  (* wait key -> module name *)
+    waits : (int, cell) Hashtbl.t;
+    runs : (int, cell) Hashtbl.t;
+    bases : (int, int) Hashtbl.t;  (* stream id -> ordinal lsl 32 *)
+    mutable last_stream : int option;
+    mutable last_base : int;
   }
 
   let create ?(cap = default_k) () =
     {
       cap;
-      waits = Hashtbl.create 256;
-      runs = Hashtbl.create 256;
-      modules = Hashtbl.create 256;
+      waits = Hashtbl.create 16;
+      runs = Hashtbl.create 16;
+      bases = Hashtbl.create 4;
+      last_stream = None;
+      last_base = 0;
     }
 
-  let record tbl ~stream_id ~instance ~(event : Dptrace.Event.t) ~signature =
-    let key = (stream_id, event.Dptrace.Event.id) in
+  let key t ~stream_id ~event_id =
+    (match t.last_stream with
+    | Some s when s = stream_id -> ()
+    | Some _ | None ->
+      let base =
+        match Hashtbl.find_opt t.bases stream_id with
+        | Some b -> b
+        | None ->
+          let b = Hashtbl.length t.bases lsl 32 in
+          Hashtbl.add t.bases stream_id b;
+          b
+      in
+      t.last_stream <- Some stream_id;
+      t.last_base <- base);
+    t.last_base lor event_id
+
+  let record t tbl ~module_name ~stream_id ~instance ~(event : Dptrace.Event.t)
+      ~signature =
+    let key = key t ~stream_id ~event_id:event.Dptrace.Event.id in
     match Hashtbl.find_opt tbl key with
-    | Some r ->
-      Hashtbl.replace tbl key { r with wr_multiplicity = r.wr_multiplicity + 1 }
+    | Some c -> c.multiplicity <- c.multiplicity + 1
     | None ->
-      Hashtbl.replace tbl key
+      Hashtbl.add tbl key
         {
-          wr_ref = instance;
-          wr_event = event.Dptrace.Event.id;
-          wr_signature = signature;
-          wr_ts = event.Dptrace.Event.ts;
-          wr_te = Dptrace.Event.end_ts event;
-          wr_cost = event.Dptrace.Event.cost;
-          wr_multiplicity = 1;
+          first =
+            {
+              wr_ref = instance;
+              wr_event = event.Dptrace.Event.id;
+              wr_signature = signature;
+              wr_ts = event.Dptrace.Event.ts;
+              wr_te = Dptrace.Event.end_ts event;
+              wr_cost = event.Dptrace.Event.cost;
+              wr_multiplicity = 1;
+            };
+          multiplicity = 1;
+          module_name;
         }
 
   let record_wait t ~module_name ~stream_id ~instance ~event ~signature =
-    let key = (stream_id, event.Dptrace.Event.id) in
-    if not (Hashtbl.mem t.modules key) then
-      Hashtbl.replace t.modules key module_name;
-    record t.waits ~stream_id ~instance ~event ~signature
+    record t t.waits ~module_name ~stream_id ~instance ~event ~signature
 
   let record_run t ~stream_id ~instance ~event ~signature =
-    record t.runs ~stream_id ~instance ~event ~signature
+    record t t.runs ~module_name:"" ~stream_id ~instance ~event ~signature
+
+  let record_of c =
+    if c.multiplicity = c.first.wr_multiplicity then c.first
+    else { c.first with wr_multiplicity = c.multiplicity }
 
   let impact t =
     let top_of tbl =
-      Hashtbl.fold (fun _ r acc -> Topk.add acc r) tbl
+      Hashtbl.fold (fun _ c acc -> Topk.add acc (record_of c)) tbl
         (empty_topk ~cap:t.cap ())
     in
     let mods : (string, wait_record Topk.t) Hashtbl.t = Hashtbl.create 16 in
     Hashtbl.iter
-      (fun key r ->
-        match Hashtbl.find_opt t.modules key with
-        | None -> ()
-        | Some name ->
-          let cur =
-            match Hashtbl.find_opt mods name with
-            | Some k -> k
-            | None -> empty_topk ~cap:t.cap ()
-          in
-          Hashtbl.replace mods name (Topk.add cur r))
+      (fun _ c ->
+        let cur =
+          match Hashtbl.find_opt mods c.module_name with
+          | Some k -> k
+          | None -> empty_topk ~cap:t.cap ()
+        in
+        Hashtbl.replace mods c.module_name (Topk.add cur (record_of c)))
       t.waits;
     {
       top_waits = top_of t.waits;

@@ -22,12 +22,12 @@ let magic = "DPSN\x01"
    Codec_v2.max_frame_len). *)
 let max_entry_len = 1 lsl 30
 
-let hit_c = lazy (Dpobs.Metrics.counter "snapshot.hit")
-let miss_c = lazy (Dpobs.Metrics.counter "snapshot.miss")
-let stale_c = lazy (Dpobs.Metrics.counter "snapshot.stale")
-let bytes_c = lazy (Dpobs.Metrics.counter "snapshot.bytes")
-let mining_hit_c = lazy (Dpobs.Metrics.counter "snapshot.mining_hit")
-let mining_miss_c = lazy (Dpobs.Metrics.counter "snapshot.mining_miss")
+let hit_c () = Dpobs.Metrics.counter "snapshot.hit"
+let miss_c () = Dpobs.Metrics.counter "snapshot.miss"
+let stale_c () = Dpobs.Metrics.counter "snapshot.stale"
+let bytes_c () = Dpobs.Metrics.counter "snapshot.bytes"
+let mining_hit_c () = Dpobs.Metrics.counter "snapshot.mining_hit"
+let mining_miss_c () = Dpobs.Metrics.counter "snapshot.mining_miss"
 
 (* --- config fingerprint --- *)
 
@@ -621,7 +621,7 @@ let create ?dir ~fingerprint:fp () =
         t.loaded <- ok;
         t.dropped <- bad;
         if Dpobs.metrics_on () then
-          Dpobs.Metrics.add (Lazy.force bytes_c) (String.length data)
+          Dpobs.Metrics.add (bytes_c ()) (String.length data)
       | exception Sys_error _ -> ()
     end);
   t
@@ -687,7 +687,7 @@ let save t =
     | () ->
       Sys.rename tmp path;
       if Dpobs.metrics_on () then
-        Dpobs.Metrics.add (Lazy.force bytes_c) (Buffer.length buf)
+        Dpobs.Metrics.add (bytes_c ()) (Buffer.length buf)
     | exception Dpfault.Injected _ ->
       (* Budget spent: abandon this save. The previous cache file (if
          any) stays authoritative; the leftover tmp is overwritten by
@@ -722,9 +722,9 @@ let ensure ?pool t components (corpus : Corpus.t) =
   in
   List.iter (fun (key, e) -> Hashtbl.replace t.entries key e) fresh;
   if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (Lazy.force hit_c) !hits;
-    Dpobs.Metrics.add (Lazy.force miss_c) (List.length misses);
-    Dpobs.Metrics.add (Lazy.force stale_c) (stale t)
+    Dpobs.Metrics.add (hit_c ()) !hits;
+    Dpobs.Metrics.add (miss_c ()) (List.length misses);
+    Dpobs.Metrics.add (stale_c ()) (stale t)
   end
 
 let entry t st =
@@ -769,11 +769,11 @@ let find_mining t corpus name ~reduce ~k =
   match Hashtbl.find_opt t.scenarios name with
   | Some (d, mining) when d = digest ->
     t.mining_hits <- t.mining_hits + 1;
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force mining_hit_c);
+    if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_hit_c ());
     Some mining
   | Some _ | None ->
     t.mining_misses <- t.mining_misses + 1;
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force mining_miss_c);
+    if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_miss_c ());
     None
 
 let store_mining t corpus name ~reduce ~k mining =

@@ -16,10 +16,12 @@ type t = {
 (* Telemetry (all behind [Dpobs.metrics_on], one branch when off):
    lifetime task count, per-domain busy time, peak queue depth. The busy
    counter is resolved once per domain through DLS so the per-task cost
-   is one hashtable-free lookup. *)
+   is one hashtable-free lookup. The other handles are looked up in the
+   registry at the point of use (never a global [lazy], which two
+   workers could force at once). *)
 
-let tasks_counter = lazy (Dpobs.Metrics.counter "pool.tasks")
-let queue_depth_gauge = lazy (Dpobs.Metrics.gauge "pool.queue_depth.max")
+let tasks_counter () = Dpobs.Metrics.counter "pool.tasks"
+let queue_depth_gauge () = Dpobs.Metrics.gauge "pool.queue_depth.max"
 
 let busy_key : Dpobs.Metrics.counter option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -146,7 +148,7 @@ let run_jobs : 'b. t -> (unit -> 'b) array -> 'b array =
     if Dpobs.metrics_on () then begin
       let us = Int64.to_int (Int64.div (Int64.sub (Dpobs.now_ns ()) t0) 1000L) in
       Dpobs.Metrics.add (busy_counter ()) us;
-      Dpobs.Metrics.incr (Lazy.force tasks_counter)
+      Dpobs.Metrics.incr (tasks_counter ())
     end;
     Mutex.lock t.mutex;
     decr remaining;
@@ -158,7 +160,7 @@ let run_jobs : 'b. t -> (unit -> 'b) array -> 'b array =
     Queue.add (task i) t.queue
   done;
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.set_max (Lazy.force queue_depth_gauge) (Queue.length t.queue);
+    Dpobs.Metrics.set_max (queue_depth_gauge ()) (Queue.length t.queue);
   Condition.broadcast t.cond;
   let rec drain () =
     match Queue.take_opt t.queue with

@@ -9,6 +9,10 @@ type t
 val of_list : Signature.t list -> t
 (** Build from topmost-first frames. *)
 
+val of_array : Signature.t array -> t
+(** Build from topmost-first frames, taking over the array (no copy; the
+    caller must not mutate it afterwards). *)
+
 val of_strings : string list -> t
 (** Convenience: intern each frame text, topmost first. *)
 

@@ -41,19 +41,21 @@ module Wire = struct
     cur.pos <- cur.pos + 1;
     v
 
-  let rv cur =
-    let rec go shift acc =
-      let b = r8 cur in
-      (* After eight bytes only bits 56..61 of a 63-bit int remain: a ninth
-         byte with bit 6 set would land in the sign bit, and a continuation
-         would go past it — either way a crafted file could smuggle a
-         negative ts/cost/tid past every writer-side invariant. *)
-      if shift = 56 && b land 0xc0 <> 0 then
-        corrupt "varint overflow at byte %d" (cur.pos - 1);
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  (* Top-level recursion, not a local closure over [cur]: decoding calls
+     this several times per event, and without flambda a local [go]
+     would allocate a closure on every call. *)
+  let rec rv_from cur shift acc =
+    let b = r8 cur in
+    (* After eight bytes only bits 56..61 of a 63-bit int remain: a ninth
+       byte with bit 6 set would land in the sign bit, and a continuation
+       would go past it — either way a crafted file could smuggle a
+       negative ts/cost/tid past every writer-side invariant. *)
+    if shift = 56 && b land 0xc0 <> 0 then
+      corrupt "varint overflow at byte %d" (cur.pos - 1);
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else rv_from cur (shift + 7) acc
+
+  let rv cur = rv_from cur 0 0
 
   let rstr cur =
     let n = rv cur in
@@ -135,26 +137,23 @@ let read_stream cur ~sig_of =
         let name = rstr cur in
         (tid, name))
   in
-  let events =
-    rlist cur (fun cur ->
-        let kind = kind_of_code (r8 cur) in
-        let tid = rv cur in
-        let wtid = rv cur - 1 in
-        let ts = rv cur in
-        let cost = rv cur in
-        let depth = rv cur in
-        if depth > 0xffff then corrupt "implausible stack depth %d" depth;
-        let frames = List.init depth (fun _ -> sig_of (rv cur)) in
-        {
-          Event.id = 0;
-          kind;
-          stack = Callstack.of_list frames;
-          ts;
-          cost;
-          tid;
-          wtid;
-        })
+  (* Events are read straight into the stream's array with their final
+     dense ids; [Stream.of_array] then only checks the order. *)
+  let nevents = rv cur in
+  if nevents > String.length cur.data then
+    corrupt "implausible element count %d" nevents;
+  let read_event i =
+    let kind = kind_of_code (r8 cur) in
+    let tid = rv cur in
+    let wtid = rv cur - 1 in
+    let ts = rv cur in
+    let cost = rv cur in
+    let depth = rv cur in
+    if depth > 0xffff then corrupt "implausible stack depth %d" depth;
+    let frames = Array.init depth (fun _ -> sig_of (rv cur)) in
+    { Event.id = i; kind; stack = Callstack.of_array frames; ts; cost; tid; wtid }
   in
+  let events = Array.init nevents read_event in
   let instances =
     rlist cur (fun cur ->
         let scenario = rstr cur in
@@ -164,7 +163,7 @@ let read_stream cur ~sig_of =
         if t1 < t0 then corrupt "instance %s has t1 < t0" scenario;
         { Scenario.scenario; tid; t0; t1 })
   in
-  Stream.create ~id ~events ~instances ~threads
+  Stream.of_array ~id ~events ~instances ~threads
 
 (* --- whole-corpus writer --- *)
 

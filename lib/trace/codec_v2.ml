@@ -14,13 +14,13 @@ let max_frame_len = 1 lsl 30
    convert progress line; the per-stream encode/decode spans land on the
    recording domain's tid, so a pooled (de)serialisation shows its fan-out
    in the Chrome trace. All behind [Dpobs.metrics_on]/[spans_on]. *)
-let bytes_written_c = lazy (Dpobs.Metrics.counter "codec_v2.bytes_written")
-let bytes_read_c = lazy (Dpobs.Metrics.counter "codec_v2.bytes_read")
-let frames_written_c = lazy (Dpobs.Metrics.counter "codec_v2.frames_written")
-let frames_read_c = lazy (Dpobs.Metrics.counter "codec_v2.frames_read")
-let frames_dropped_c = lazy (Dpobs.Metrics.counter "codec_v2.frames_dropped")
-let streams_written_c = lazy (Dpobs.Metrics.counter "codec_v2.streams_written")
-let streams_read_c = lazy (Dpobs.Metrics.counter "codec_v2.streams_read")
+let bytes_written_c () = Dpobs.Metrics.counter "codec_v2.bytes_written"
+let bytes_read_c () = Dpobs.Metrics.counter "codec_v2.bytes_read"
+let frames_written_c () = Dpobs.Metrics.counter "codec_v2.frames_written"
+let frames_read_c () = Dpobs.Metrics.counter "codec_v2.frames_read"
+let frames_dropped_c () = Dpobs.Metrics.counter "codec_v2.frames_dropped"
+let streams_written_c () = Dpobs.Metrics.counter "codec_v2.streams_written"
+let streams_read_c () = Dpobs.Metrics.counter "codec_v2.streams_read"
 
 type mode = [ `Strict | `Recover ]
 type diagnostic = { frame : int; offset : int; reason : string }
@@ -77,7 +77,7 @@ let stream_payload st =
   Dpobs.Span.with_span "codec_v2.encode_stream" @@ fun () ->
   let payload = stream_payload_raw st in
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.incr (Lazy.force streams_written_c);
+    Dpobs.Metrics.incr (streams_written_c ());
   payload
 
 let decode_header payload =
@@ -107,7 +107,7 @@ let decode_stream_payload ?key payload =
   in
   let st = Codec_binary.read_stream cur ~sig_of in
   if not (Codec_binary.Wire.at_end cur) then corrupt "stream frame: trailing bytes";
-  if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force streams_read_c);
+  if Dpobs.metrics_on () then Dpobs.Metrics.incr (streams_read_c ());
   (* The frame checksum was already verified by the reader; memoising it
      as the stream's content identity makes cache-keyed re-analysis free
      of re-encoding for loaded corpora. *)
@@ -167,8 +167,8 @@ let add_stream w st =
   if w.closed then invalid_arg "Codec_v2.add_stream: writer is closed";
   let framed = frame_string 'S' (stream_payload st) in
   if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (Lazy.force bytes_written_c) (String.length framed);
-    Dpobs.Metrics.incr (Lazy.force frames_written_c)
+    Dpobs.Metrics.add (bytes_written_c ()) (String.length framed);
+    Dpobs.Metrics.incr (frames_written_c ())
   end;
   output_string w.oc framed;
   w.written <- w.written + 1
@@ -183,7 +183,7 @@ let emit ?pool put (c : Corpus.t) =
   Dpobs.Span.with_span "codec_v2.encode" @@ fun () ->
   let put =
     if Dpobs.metrics_on () then (fun s ->
-      Dpobs.Metrics.add (Lazy.force bytes_written_c) (String.length s);
+      Dpobs.Metrics.add (bytes_written_c ()) (String.length s);
       put s)
     else put
   in
@@ -198,7 +198,7 @@ let emit ?pool put (c : Corpus.t) =
   List.iter (fun p -> put (frame_string 'S' p)) payloads;
   put (frame_string 'E' (trailer_payload (List.length c.Corpus.streams)));
   if Dpobs.metrics_on () then
-    Dpobs.Metrics.add (Lazy.force frames_written_c)
+    Dpobs.Metrics.add (frames_written_c ())
       (2 + List.length c.Corpus.streams)
 
 let write_corpus ?pool oc c = emit ?pool (output_string oc) c
@@ -456,9 +456,9 @@ let fold_raw mode src ~init ~f =
     end
   done;
   if Dpobs.metrics_on () then begin
-    Dpobs.Metrics.add (Lazy.force bytes_read_c) (offset src);
-    Dpobs.Metrics.add (Lazy.force frames_read_c) !idx;
-    Dpobs.Metrics.add (Lazy.force frames_dropped_c) !ndiag
+    Dpobs.Metrics.add (bytes_read_c ()) (offset src);
+    Dpobs.Metrics.add (frames_read_c ()) !idx;
+    Dpobs.Metrics.add (frames_dropped_c ()) !ndiag
   end;
   (!acc, List.rev !diags, !idx, offset src)
 

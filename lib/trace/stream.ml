@@ -12,35 +12,43 @@ type t = {
   memo_key : string option Atomic.t;
 }
 
-let create ~id ~events ~instances ~threads =
-  (* Order: timestamp, then thread, then zero-cost events (unwaits) before
-     cost-bearing ones — a thread that releases a lock and computes at the
-     same instant has released first — then emission order for
-     determinism. *)
-  let tagged = Array.of_list (List.mapi (fun pos e -> (pos, e)) events) in
-  Array.sort
-    (fun (pa, (a : Event.t)) (pb, (b : Event.t)) ->
-      match compare a.ts b.ts with
-      | 0 -> (
-        match compare a.tid b.tid with
-        | 0 -> (
-          match compare (min a.cost 1) (min b.cost 1) with
-          | 0 -> compare pa pb
-          | c -> c)
-        | c -> c)
-      | c -> c)
-    tagged;
-  let renumbered =
-    Array.mapi (fun i (_, (e : Event.t)) -> { e with Event.id = i }) tagged
-  in
+(* Order: timestamp, then thread, then zero-cost events (unwaits) before
+   cost-bearing ones — a thread that releases a lock and computes at the
+   same instant has released first — then emission order for
+   determinism. *)
+let compare_events (a : Event.t) (b : Event.t) =
+  match Int.compare a.ts b.ts with
+  | 0 -> (
+    match Int.compare a.tid b.tid with
+    | 0 -> Int.compare (Int.min a.cost 1) (Int.min b.cost 1)
+    | c -> c)
+  | c -> c
+
+let in_order events =
+  let n = Array.length events in
+  let rec go i = i >= n || (compare_events events.(i - 1) events.(i) <= 0 && go (i + 1)) in
+  go 1
+
+let of_array ~id ~events ~instances ~threads =
+  (* Decoders and simulators emit events already in order, so one linear
+     check usually replaces the sort. The stable sort is the fallback: it
+     keeps emission order among equal keys, which is the documented
+     tie-break. *)
+  if not (in_order events) then Array.stable_sort compare_events events;
+  Array.iteri
+    (fun i (e : Event.t) -> if e.id <> i then events.(i) <- { e with Event.id = i })
+    events;
   {
     id;
-    events = renumbered;
+    events;
     instances;
     threads;
     memo_index = Atomic.make None;
     memo_key = Atomic.make None;
   }
+
+let create ~id ~events ~instances ~threads =
+  of_array ~id ~events:(Array.of_list events) ~instances ~threads
 
 let thread_name t tid =
   match List.assoc_opt tid t.threads with
@@ -57,48 +65,76 @@ let duration t =
 
 let event_count t = Array.length t.events
 
-let group_by key events =
-  let acc : (int, Event.t list) Hashtbl.t = Hashtbl.create 64 in
-  (* Iterate in reverse so each bucket list ends up timestamp-ordered. *)
-  for i = Array.length events - 1 downto 0 do
+(* Two passes. The first gives each kept event its key's dense slot
+   (one hashtable lookup, skipped while the key repeats) and counts the
+   slots; the second fills per-slot arrays allocated once at their final
+   size, so each bucket stays timestamp-ordered. *)
+let group_by ~keep ~key events =
+  let n = Array.length events in
+  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let slots = Array.make n (-1) in
+  let counts = Array.make n 0 in
+  let last_key = ref 0 and last_slot = ref (-1) in
+  for i = 0 to n - 1 do
     let e = events.(i) in
-    match key e with
-    | None -> ()
-    | Some k ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt acc k) in
-      Hashtbl.replace acc k (e :: prev)
+    if keep e then begin
+      let k = key e in
+      let s =
+        if !last_slot >= 0 && k = !last_key then !last_slot
+        else
+          match Hashtbl.find slot_of k with
+          | s -> s
+          | exception Not_found ->
+            let s = Hashtbl.length slot_of in
+            Hashtbl.add slot_of k s;
+            s
+      in
+      last_key := k;
+      last_slot := s;
+      slots.(i) <- s;
+      counts.(s) <- counts.(s) + 1
+    end
   done;
-  let out = Hashtbl.create (Hashtbl.length acc) in
-  Hashtbl.iter (fun k es -> Hashtbl.replace out k (Array.of_list es)) acc;
+  let items = Array.make (Hashtbl.length slot_of) [||] in
+  let fill = Array.make (Hashtbl.length slot_of) 0 in
+  for i = 0 to n - 1 do
+    let s = slots.(i) in
+    if s >= 0 then begin
+      if fill.(s) = 0 then items.(s) <- Array.make counts.(s) events.(i);
+      items.(s).(fill.(s)) <- events.(i);
+      fill.(s) <- fill.(s) + 1
+    end
+  done;
+  let out = Hashtbl.create (Hashtbl.length slot_of) in
+  Hashtbl.iter (fun k s -> Hashtbl.replace out k items.(s)) slot_of;
   out
 
 let index t =
   {
-    by_tid = group_by (fun (e : Event.t) -> Some e.tid) t.events;
+    by_tid = group_by ~keep:(fun _ -> true) ~key:(fun (e : Event.t) -> e.tid) t.events;
     unwaits_by_wtid =
-      group_by
-        (fun (e : Event.t) -> if Event.is_unwait e then Some e.wtid else None)
-        t.events;
+      group_by ~keep:Event.is_unwait ~key:(fun (e : Event.t) -> e.wtid) t.events;
   }
-
-(* Cache effectiveness of the memoised index — a racing double build
-   counts as two misses, which is exactly the wasted work. *)
-let index_hits = lazy (Dpobs.Metrics.counter "stream.index.hit")
-let index_misses = lazy (Dpobs.Metrics.counter "stream.index.miss")
 
 (* Publication is a single compare-and-set on an [Atomic.t]: the plain
    mutable field it replaces was read outside the old mutex, which was a
    data race under the domain pool (torn in theory, and flagged by TSan).
    Index construction runs before the CAS: a race on the same stream at
    worst computes the (pure, identical) index twice; the first store wins
-   and losers adopt it, so every caller observes one index identity. *)
+   and losers adopt it, so every caller observes one index identity.
+   The hit/miss counters are resolved through the registry at the point
+   of use (its get-or-create is mutex-guarded), never through a global
+   [lazy]: forcing one lazy from two domains at once raises. A racing
+   double build counts as two misses, which is exactly the wasted work. *)
 let shared_index t =
   match Atomic.get t.memo_index with
   | Some idx ->
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force index_hits);
+    if Dpobs.metrics_on () then
+      Dpobs.Metrics.incr (Dpobs.Metrics.counter "stream.index.hit");
     idx
   | None ->
-    if Dpobs.metrics_on () then Dpobs.Metrics.incr (Lazy.force index_misses);
+    if Dpobs.metrics_on () then
+      Dpobs.Metrics.incr (Dpobs.Metrics.counter "stream.index.miss");
     let idx = index t in
     if Atomic.compare_and_set t.memo_index None (Some idx) then idx
     else
@@ -112,20 +148,27 @@ let set_key_memo t key =
      content, so losing the race changes nothing. *)
   ignore (Atomic.compare_and_set t.memo_key None (Some key))
 
-let events_of_thread idx tid =
-  Option.value ~default:[||] (Hashtbl.find_opt idx.by_tid tid)
+(* Lookups on the hot path avoid [find_opt]'s option and local
+   closures: without flambda each would allocate on every call. *)
+let find_events tbl key = try Hashtbl.find tbl key with Not_found -> [||]
 
-(* First index i with arr.(i).ts >= target. *)
-let lower_bound (arr : Event.t array) target =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if arr.(mid).Event.ts < target then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length arr)
+let events_of_thread idx tid = find_events idx.by_tid tid
 
-let thread_events_overlapping idx ~tid ~from_ts ~to_ts =
+(* First index i in [lo, hi) with arr.(i).ts >= target. *)
+let rec lower_bound_in (arr : Event.t array) target lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if arr.(mid).Event.ts < target then lower_bound_in arr target (mid + 1) hi
+    else lower_bound_in arr target lo mid
+
+let lower_bound arr target = lower_bound_in arr target 0 (Array.length arr)
+
+let rec fold_from (arr : Event.t array) i to_ts f acc =
+  if i >= Array.length arr || arr.(i).Event.ts > to_ts then acc
+  else fold_from arr (i + 1) to_ts f (f acc arr.(i))
+
+let fold_thread_window idx ~tid ~from_ts ~to_ts ~init ~f =
   let arr = events_of_thread idx tid in
   (* An event overlaps iff ts <= to_ts and end_ts >= from_ts. Events are
      ts-sorted; a long event may start well before [from_ts], so scan back
@@ -133,18 +176,19 @@ let thread_events_overlapping idx ~tid ~from_ts ~to_ts =
      reach the window. Per-thread events do not overlap each other, so at
      most one predecessor qualifies. *)
   let start = lower_bound arr from_ts in
-  let before =
-    if start > 0 && Event.end_ts arr.(start - 1) >= from_ts then [ arr.(start - 1) ]
-    else []
+  let acc =
+    if start > 0 && Event.end_ts arr.(start - 1) >= from_ts then
+      f init arr.(start - 1)
+    else init
   in
-  let rec collect i acc =
-    if i >= Array.length arr || arr.(i).Event.ts > to_ts then List.rev acc
-    else collect (i + 1) (arr.(i) :: acc)
-  in
-  before @ collect start []
+  fold_from arr start to_ts f acc
+
+let thread_events_overlapping idx ~tid ~from_ts ~to_ts =
+  List.rev
+    (fold_thread_window idx ~tid ~from_ts ~to_ts ~init:[] ~f:(fun acc e -> e :: acc))
 
 let find_waker idx (w : Event.t) =
-  let arr = Option.value ~default:[||] (Hashtbl.find_opt idx.unwaits_by_wtid w.tid) in
+  let arr = find_events idx.unwaits_by_wtid w.tid in
   (* An unwait at exactly [w.ts] belongs to whatever wait ended there, not
      to a wait beginning there — threads commonly re-block at the very
      instant they are woken (FIFO hand-offs), and matching the stale

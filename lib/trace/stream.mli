@@ -28,7 +28,21 @@ val create :
   threads:(int * string) list ->
   t
 (** Sorts the events by [(ts, tid)] and renumbers their ids to be the array
-    indices; the ids supplied by the caller are ignored. *)
+    indices; the ids supplied by the caller are ignored. Equal keys keep
+    the order given (zero-cost events first at one instant on one
+    thread). Input that is already in order — what decoders and the
+    simulator produce — costs one linear check and no sort. *)
+
+val of_array :
+  id:int ->
+  events:Event.t array ->
+  instances:Scenario.instance list ->
+  threads:(int * string) list ->
+  t
+(** {!create} over an array, which the stream takes over (it may be
+    sorted and renumbered in place; the caller must not use it again).
+    When the events are in order and their ids already equal their
+    indices, nothing is copied. *)
 
 val thread_name : t -> int -> string
 (** Name of a thread, or ["tid<N>"] if unregistered. *)
@@ -73,6 +87,17 @@ val thread_events_overlapping :
 (** Events of [tid] whose span [\[ts, ts+cost\]] intersects
     [\[from_ts, to_ts\]], in timestamp order. Zero-cost events (unwaits)
     count as intersecting when their instant lies within the window. *)
+
+val fold_thread_window :
+  index ->
+  tid:int ->
+  from_ts:Dputil.Time.t ->
+  to_ts:Dputil.Time.t ->
+  init:'a ->
+  f:('a -> Event.t -> 'a) ->
+  'a
+(** Fold over exactly the events {!thread_events_overlapping} returns, in
+    the same order, straight off the index arrays (no list is built). *)
 
 val find_waker : index -> Event.t -> Event.t option
 (** [find_waker idx w] is the unwait event that ended wait [w]: the first

@@ -14,7 +14,11 @@
     counts on. Within one graph, nodes are memoised per event, so the
     structure is a DAG; traversals visit each node once. *)
 
-type node = {
+type node = private {
+  id : int;
+      (** Graph-local dense id in [\[0, size)], one per distinct event:
+          cycle-cut and depth-cut stubs carry the id of their event's
+          full node. Traversals mark visits in a [Bytes] indexed by it. *)
   event : Dptrace.Event.t;
   waker : Dptrace.Event.t option;
       (** For wait nodes: the pairing unwait. [None] for non-wait nodes and
@@ -25,16 +29,20 @@ type node = {
           pairing unwait is carried in [waker]. *)
 }
 
-type t = {
+type t = private {
   stream : Dptrace.Stream.t;
   instance : Dptrace.Scenario.instance;
   roots : node list;
+  size : int;  (** Number of distinct events, hence of node ids. *)
 }
 
 val build : ?index:Dptrace.Stream.index -> Dptrace.Stream.t -> Dptrace.Scenario.instance -> t
 (** Construct the Wait Graph of one instance. Pass [index] to share the
     stream index across the many instances of one stream. Expansion is
-    bounded (depth 128) and cycle-guarded, so it is total on any input. *)
+    bounded (depth 128) and cycle-guarded, so it is total on any input.
+    Each thread window is walked once, straight off the index arrays, and
+    the build memo lives in per-domain scratch arrays, so the graph's own
+    nodes are all a build allocates. *)
 
 val iter_nodes : t -> (node -> unit) -> unit
 (** Visit every distinct node exactly once (preorder from the roots). *)
