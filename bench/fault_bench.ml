@@ -77,7 +77,7 @@ let () =
   let workload () =
     let screened, _cov = Dpcore.Pipeline.screen corpus in
     ( Dpcore.Pipeline.run_all components screened,
-      Dpcore.Pipeline.run_impact components screened )
+      fst (Dpcore.Pipeline.run_impact_prov components screened) )
   in
   let workload_s = time_best workload in
 

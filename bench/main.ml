@@ -70,9 +70,9 @@ let result name = List.assoc name (Lazy.force named_results)
 let e1 () =
   section "E1 - Impact analysis of device drivers (Section 5.1)";
   Format.printf "%a@." Dptrace.Corpus.pp_summary corpus;
-  let r =
+  let r, _ =
     timed "impact analysis" (fun () ->
-        Pipeline.run_impact ~pool:bench_pool drivers corpus)
+        Pipeline.run_impact_prov ~pool:bench_pool drivers corpus)
   in
   let t =
     Table.create ~title:"Headline metrics, paper vs measured"
@@ -471,7 +471,7 @@ let a3 () =
                Dputil.Time.to_ms_float (Dptrace.Scenario.duration i))
         |> Array.of_list
       in
-      let r = Pipeline.run_impact drivers c in
+      let r, _ = Pipeline.run_impact_prov drivers c in
       Table.add_row t
         [
           (match cores with None -> "unbounded" | Some n -> string_of_int n);
@@ -502,7 +502,7 @@ let parallel_scaling () =
     corpus.Dptrace.Corpus.streams;
   let workload pool =
     ( Pipeline.run_all ~pool ~scenarios:Paper.scenarios drivers corpus,
-      Pipeline.run_impact ~pool drivers corpus )
+      fst (Pipeline.run_impact_prov ~pool drivers corpus) )
   in
   let runs =
     List.map

@@ -68,7 +68,7 @@ let () =
   Dppar.Pool.with_pool ~domains @@ fun pool ->
   let workload () =
     ( Dpcore.Pipeline.run_all ~pool ~scenarios Dpcore.Component.drivers corpus,
-      Dpcore.Pipeline.run_impact ~pool Dpcore.Component.drivers corpus )
+      fst (Dpcore.Pipeline.run_impact_prov ~pool Dpcore.Component.drivers corpus) )
   in
 
   (* --- macro: the parallel-scaling workload, disabled vs enabled --- *)

@@ -238,21 +238,38 @@ let cache_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
-(* Open the cache for this configuration, ensure entries for the corpus
-   (analysing misses in parallel), hand [Some snapshot] to the body and
-   write the cache back after. Without --cache, the body gets [None]. *)
-let with_snapshot ~cache ~components ?(k = Dpcore.Mining.default_k) pool
-    corpus f =
+(* --- the analysis session: pool, screened corpus and optional cache ---
+
+   What impact, report and analyze share. Each result those commands
+   print has one accessor below, and it is the one place that chooses
+   between the snapshot (with --cache) and a fresh computation. *)
+
+type session = {
+  pool : Dppar.Pool.t;
+  components : Dpcore.Component.t;
+  corpus : Dptrace.Corpus.t;
+  coverage : Dpcore.Pipeline.coverage;
+  snap : Dpcore.Snapshot.t option;
+}
+
+(* Open the pool, load and screen the corpus, and run [f] on the session.
+   With --cache, open the cache for this configuration and ensure entries
+   for the corpus (analysing misses in parallel) before [f], and write
+   the cache back after. *)
+let with_session ~cache ~components ~j ~mode corpus_path f =
+  with_cli_pool j @@ fun pool ->
+  let corpus, coverage = screen_corpus (read_corpus ~pool ~mode corpus_path) in
+  let run snap = f { pool; components; corpus; coverage; snap } in
   match cache with
-  | None -> f None
+  | None -> run None
   | Some dir ->
     let fingerprint =
       Dpcore.Snapshot.fingerprint ~components
-        ~specs:corpus.Dptrace.Corpus.specs ~k ()
+        ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ()
     in
     let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
     Dpcore.Snapshot.ensure ~pool snap components corpus;
-    let r = f (Some snap) in
+    let r = run (Some snap) in
     Dpcore.Snapshot.save snap;
     let s = Dpcore.Snapshot.stats snap in
     Dpobs.Log.info
@@ -263,6 +280,28 @@ let with_snapshot ~cache ~components ?(k = Dpcore.Mining.default_k) pool
       s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
       s.Dpcore.Snapshot.s_mining_misses;
     r
+
+(* Whole-corpus impact and its provenance (empty unless enabled). *)
+let session_impact s =
+  match s.snap with
+  | Some snap -> Dpcore.Pipeline.run_impact_prov_snap snap s.corpus
+  | None -> Dpcore.Pipeline.run_impact_prov ~pool:s.pool s.components s.corpus
+
+(* The per-module breakdown over every instance's graph. *)
+let session_modules s =
+  match s.snap with
+  | Some snap -> Dpcore.Pipeline.modules_snap snap s.corpus
+  | None ->
+    Dpcore.Impact.by_module s.components
+      (Dpcore.Pipeline.build_graphs ~pool:s.pool s.corpus
+         (Dptrace.Corpus.all_instances s.corpus))
+
+(* The impact measured separately over each scenario's instances. *)
+let session_scenario_impacts s =
+  match s.snap with
+  | Some snap -> Dpcore.Pipeline.impact_per_scenario_snap snap s.corpus
+  | None ->
+    Dpcore.Pipeline.impact_per_scenario ~pool:s.pool s.components s.corpus
 
 (* --- self-telemetry options (lib/obs) --- *)
 
@@ -362,6 +401,34 @@ let with_progress o ~label ~total counter_name f =
     | None -> f ()
     | Some p -> Fun.protect ~finally:(fun () -> Dpobs.Progress.finish p) f
 
+(* Every scenario result for [scenarios], in that order, with a
+   --progress line over them. *)
+let session_scenarios obs s scenarios =
+  with_progress obs ~label:"scenarios" ~total:(List.length scenarios)
+    "pipeline.scenarios_done" (fun () ->
+      match s.snap with
+      | Some snap ->
+        Dpcore.Pipeline.run_all_snap ~pool:s.pool ~scenarios snap s.corpus
+      | None ->
+        Dpcore.Pipeline.run_all ~pool:s.pool ~scenarios s.components s.corpus)
+
+(* The report --json / analyze --json document: impact, then the
+   scenarios, then the modules. *)
+let json_document obs s scenarios =
+  let impact, impact_prov = session_impact s in
+  let named = session_scenarios obs s scenarios in
+  let modules = session_modules s in
+  Dpcore.Report.Json.document ~coverage:s.coverage ~impact ~impact_prov
+    ~modules ~scenarios:named ()
+
+(* Hand [write] the file [out] (and say so on stdout), or stdout. *)
+let emit out write =
+  match out with
+  | None -> write stdout
+  | Some path ->
+    Out_channel.with_open_text path write;
+    Printf.printf "wrote %s\n" path
+
 (* --- generate --- *)
 
 let generate seed scale no_cross cores out =
@@ -417,43 +484,22 @@ let generate_cmd =
 let impact corpus pats breakdown per_scenario cache j mode faults obs =
   with_obs obs @@ fun () ->
   with_faults faults @@ fun () ->
-  let components = components_of pats in
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = screen_corpus corpus in
-  print_coverage cov;
-  with_snapshot ~cache ~components pool corpus @@ fun snap ->
-  let r =
-    match snap with
-    | Some snap -> Dpcore.Pipeline.run_impact_snap snap corpus
-    | None -> Dpcore.Pipeline.run_impact ~pool components corpus
-  in
-  Dputil.Table.print (Dpcore.Report.impact_summary r);
+  with_session ~cache ~components:(components_of pats) ~j ~mode corpus
+  @@ fun s ->
+  print_coverage s.coverage;
+  Dputil.Table.print (Dpcore.Report.impact_summary (fst (session_impact s)));
   if breakdown then begin
-    let modules =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-      | None ->
-        let graphs =
-          Dpcore.Pipeline.build_graphs ~pool corpus
-            (Dptrace.Corpus.all_instances corpus)
-        in
-        Dpcore.Impact.by_module components graphs
-    in
     print_newline ();
-    Dputil.Table.print (Dpcore.Report.module_breakdown modules)
+    Dputil.Table.print (Dpcore.Report.module_breakdown (session_modules s))
   end;
   if per_scenario then begin
     print_newline ();
     let scenario_count =
-      List.length (Dptrace.Corpus.scenario_names corpus)
+      List.length (Dptrace.Corpus.scenario_names s.corpus)
     in
     let impacts =
       with_progress obs ~label:"scenarios" ~total:scenario_count
-        "pipeline.scenarios_done" (fun () ->
-          match snap with
-          | Some snap -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus
-          | None -> Dpcore.Pipeline.impact_per_scenario ~pool components corpus)
+        "pipeline.scenarios_done" (fun () -> session_scenario_impacts s)
     in
     Dputil.Table.print (Dpcore.Report.scenario_impacts impacts)
   end;
@@ -530,7 +576,8 @@ let causality_cmd =
   in
   let k =
     Arg.(
-      value & opt int Dpcore.Mining.default_k
+      value
+      & opt (int_at_least 1) Dpcore.Mining.default_k
       & info [ "k" ] ~docv:"K" ~doc:"Maximum path-segment length.")
   in
   let top =
@@ -549,53 +596,21 @@ let causality_cmd =
 let report corpus json cache j mode faults obs =
   with_obs obs @@ fun () ->
   with_faults faults @@ fun () ->
-  let components = Dpcore.Component.drivers in
   if json then Dpcore.Provenance.enable ();
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus in
-  let corpus, cov = screen_corpus corpus in
-  if not json then print_coverage cov;
-  with_snapshot ~cache ~components pool corpus @@ fun snap ->
-  let impact, impact_prov =
-    match snap with
-    | Some snap -> Dpcore.Pipeline.run_impact_prov_snap snap corpus
-    | None -> Dpcore.Pipeline.run_impact_prov ~pool components corpus
-  in
-  if not json then Dputil.Table.print (Dpcore.Report.impact_summary impact);
+  with_session ~cache ~components:Dpcore.Component.drivers ~j ~mode corpus
+  @@ fun s ->
   let scenario_names =
     List.map
       (fun (tpl : Dpworkload.Scenarios.template) ->
         tpl.Dpworkload.Scenarios.spec.Dptrace.Scenario.name)
       Dpworkload.Scenarios.named
   in
-  let named =
-    with_progress obs ~label:"scenarios" ~total:(List.length scenario_names)
-      "pipeline.scenarios_done" (fun () ->
-        match snap with
-        | Some snap ->
-          Dpcore.Pipeline.run_all_snap ~pool ~scenarios:scenario_names snap
-            corpus
-        | None ->
-          Dpcore.Pipeline.run_all ~pool ~scenarios:scenario_names components
-            corpus)
-  in
-  if json then begin
-    let modules =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-      | None ->
-        let graphs =
-          Dpcore.Pipeline.build_graphs ~pool corpus
-            (Dptrace.Corpus.all_instances corpus)
-        in
-        Dpcore.Impact.by_module components graphs
-    in
-    print_string
-      (Dputil.Jsonw.to_string
-         (Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov
-            ~modules ~scenarios:named ()))
-  end
+  if json then
+    print_string (Dputil.Jsonw.to_string (json_document obs s scenario_names))
   else begin
+    print_coverage s.coverage;
+    Dputil.Table.print (Dpcore.Report.impact_summary (fst (session_impact s)));
+    let named = session_scenarios obs s scenario_names in
     let classes =
       List.map (fun (n, r) -> (n, r.Dpcore.Pipeline.classification)) named
     in
@@ -1257,8 +1272,8 @@ let export_trace_cmd =
 let flame corpus scenario out_dir slow fast top pats j mode obs =
   with_obs obs @@ fun () ->
   let components = components_of pats in
-  with_cli_pool j @@ fun _pool ->
-  let corpus = read_corpus ~mode corpus in
+  with_cli_pool j @@ fun pool ->
+  let corpus = read_corpus ~pool ~mode corpus in
   with_scenario corpus scenario @@ fun () ->
   let c = Dpcore.Classify.classify corpus scenario in
   let b = Dpviz.Bundle.write ~components ~slow ~fast ~dir:out_dir c in
@@ -1375,57 +1390,9 @@ let timeline_cmd =
 
 (* --- analyze: the one-shot full report --- *)
 
-let analyze corpus_path out json top_patterns_n cache j mode faults obs =
-  with_obs obs @@ fun () ->
-  with_faults faults @@ fun () ->
-  let components = Dpcore.Component.drivers in
-  if json then begin
-    Dpcore.Provenance.enable ();
-    with_cli_pool j @@ fun pool ->
-    let corpus = read_corpus ~pool ~mode corpus_path in
-    let corpus, cov = screen_corpus corpus in
-    with_snapshot ~cache ~components pool corpus @@ fun snap ->
-    let impact, impact_prov =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.run_impact_prov_snap snap corpus
-      | None -> Dpcore.Pipeline.run_impact_prov ~pool components corpus
-    in
-    let modules =
-      match snap with
-      | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-      | None ->
-        let graphs =
-          Dpcore.Pipeline.build_graphs ~pool corpus
-            (Dptrace.Corpus.all_instances corpus)
-        in
-        Dpcore.Impact.by_module components graphs
-    in
-    let named =
-      with_progress obs ~label:"scenarios"
-        ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
-        "pipeline.scenarios_done" (fun () ->
-          match snap with
-          | Some snap -> Dpcore.Pipeline.run_all_snap ~pool snap corpus
-          | None -> Dpcore.Pipeline.run_all ~pool components corpus)
-    in
-    let doc =
-      Dpcore.Report.Json.document ~coverage:cov ~impact ~impact_prov ~modules
-        ~scenarios:named ()
-    in
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      Dputil.Jsonw.output oc doc;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> Dputil.Jsonw.output stdout doc);
-    0
-  end
-  else begin
-  with_cli_pool j @@ fun pool ->
-  let corpus = read_corpus ~pool ~mode corpus_path in
-  let corpus, cov = screen_corpus corpus in
-  with_snapshot ~cache ~components pool corpus @@ fun snap ->
+(* The Markdown analyst report. *)
+let analyze_markdown obs s ~corpus_path ~top_patterns_n =
+  let pool = s.pool and components = s.components and corpus = s.corpus in
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =
@@ -1443,37 +1410,21 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
   line "## Corpus";
   line "";
   block (Dptrace.Corpus_stats.render (Dptrace.Corpus_stats.compute corpus));
-  if cov.Dpcore.Pipeline.cov_quarantined <> [] then begin
+  if s.coverage.Dpcore.Pipeline.cov_quarantined <> [] then begin
     line "### Coverage";
     line "";
-    block (Dputil.Table.render (Dpcore.Report.stream_coverage cov))
+    block (Dputil.Table.render (Dpcore.Report.stream_coverage s.coverage))
   end;
   line "## Impact analysis (device drivers)";
   line "";
   block
     (Dputil.Table.render
-       (Dpcore.Report.impact_summary
-          (match snap with
-          | Some snap -> Dpcore.Pipeline.run_impact_snap snap corpus
-          | None -> Dpcore.Pipeline.run_impact ~pool components corpus)));
-  let modules =
-    match snap with
-    | Some snap -> Dpcore.Pipeline.modules_snap snap corpus
-    | None ->
-      let graphs =
-        Dpcore.Pipeline.build_graphs ~pool corpus
-          (Dptrace.Corpus.all_instances corpus)
-      in
-      Dpcore.Impact.by_module components graphs
-  in
-  block (Dputil.Table.render (Dpcore.Report.module_breakdown modules));
+       (Dpcore.Report.impact_summary (fst (session_impact s))));
+  block
+    (Dputil.Table.render (Dpcore.Report.module_breakdown (session_modules s)));
   block
     (Dputil.Table.render
-       (Dpcore.Report.scenario_impacts
-          (match snap with
-          | Some snap -> Dpcore.Pipeline.impact_per_scenario_snap snap corpus
-          | None ->
-            Dpcore.Pipeline.impact_per_scenario ~pool components corpus)));
+       (Dpcore.Report.scenario_impacts (session_scenario_impacts s)));
   line "### Robustness";
   line "";
   block
@@ -1482,12 +1433,7 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
   line "## Causality analysis";
   (* Analyse every scenario with a spec and both classes non-empty. *)
   let scenario_results =
-    with_progress obs ~label:"scenarios"
-      ~total:(List.length (Dptrace.Corpus.scenario_names corpus))
-      "pipeline.scenarios_done" (fun () ->
-        match snap with
-        | Some snap -> Dpcore.Pipeline.run_all_snap ~pool snap corpus
-        | None -> Dpcore.Pipeline.run_all ~pool components corpus)
+    session_scenarios obs s (Dptrace.Corpus.scenario_names corpus)
   in
   List.iter
     (fun (name, (r : Dpcore.Pipeline.scenario_result)) ->
@@ -1536,15 +1482,25 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
         with no links between them."
     (List.length (Dpbaseline.Lock_profiler.sites lp))
     (Dputil.Time.to_string (Dpbaseline.Lock_profiler.total_wait lp));
-  (match out with
-  | Some path ->
-    let oc = open_out path in
-    Buffer.output_buffer oc buf;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  | None -> Buffer.output_buffer stdout buf);
+  buf
+
+let analyze corpus_path out json top_patterns_n cache j mode faults obs =
+  with_obs obs @@ fun () ->
+  with_faults faults @@ fun () ->
+  if json then Dpcore.Provenance.enable ();
+  with_session ~cache ~components:Dpcore.Component.drivers ~j ~mode
+    corpus_path
+  @@ fun s ->
+  let write =
+    if json then
+      let doc = json_document obs s (Dptrace.Corpus.scenario_names s.corpus) in
+      fun oc -> Dputil.Jsonw.output oc doc
+    else
+      let buf = analyze_markdown obs s ~corpus_path ~top_patterns_n in
+      fun oc -> Buffer.output_buffer oc buf
+  in
+  emit out write;
   0
-  end
 
 let analyze_cmd =
   let out =
@@ -1922,7 +1878,19 @@ let main_cmd =
     ]
 
 (* Arm DRIVEPERF_LOG before command dispatch so the level also applies to
-   commands without observability flags (e.g. validate). *)
+   commands without observability flags (e.g. validate). A path that
+   cannot be read or written (a missing directory, no permission) is a
+   user error: say so and exit 1. Any other exception is a bug and gets
+   cmdliner's internal-error exit code. *)
 let () =
   Dpobs.Log.init_from_env ();
-  exit (Cmd.eval' main_cmd)
+  exit
+    (match Cmd.eval' ~catch:false main_cmd with
+    | code -> code
+    | exception Sys_error msg ->
+      Printf.eprintf "driveperf: %s\n" msg;
+      1
+    | exception e ->
+      Printf.eprintf "driveperf: internal error, uncaught exception:\n%s\n%s"
+        (Printexc.to_string e) (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error)

@@ -17,7 +17,8 @@ let () =
 
   let components = Dpcore.Component.drivers in
   Dputil.Table.print
-    (Dpcore.Report.impact_summary (Dpcore.Pipeline.run_impact components corpus));
+    (Dpcore.Report.impact_summary
+       (fst (Dpcore.Pipeline.run_impact_prov components corpus)));
   print_newline ();
 
   let named =

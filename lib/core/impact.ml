@@ -154,55 +154,6 @@ let merge a b =
     counted_runs = a.counted_runs + b.counted_runs;
   }
 
-let analyze_stream components (st : Dptrace.Stream.t) =
-  let index = Dptrace.Stream.shared_index st in
-  analyze_graphs components
-    (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
-
-let analyze_stream_prov components (st : Dptrace.Stream.t) =
-  let index = Dptrace.Stream.shared_index st in
-  analyze_graphs_prov components
-    (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
-
-let analyze ?pool components (corpus : Dptrace.Corpus.t) =
-  (* One partial result per stream, merged in stream order. The
-     distinct-wait deduplication never crosses streams (keys carry the
-     stream id), and every field merges by integer addition, so the
-     per-stream reduction is exact — parallel and sequential runs produce
-     the same integers, hence the same derived floats. *)
-  let streams = corpus.Dptrace.Corpus.streams in
-  match pool with
-  | Some pool ->
-    Dppar.Pool.parallel_map_reduce pool
-      ~map:(analyze_stream components)
-      ~reduce:merge ~init:empty streams
-  | None ->
-    List.fold_left
-      (fun acc st -> merge acc (analyze_stream components st))
-      empty streams
-
-let analyze_prov ?pool components (corpus : Dptrace.Corpus.t) =
-  (* Same per-stream reduction as [analyze]. Provenance merges exactly
-     too: records are keyed by (stream, event), streams are disjoint
-     across the reduction, and reservoirs are association-independent. *)
-  if not (Provenance.enabled ()) then
-    (analyze ?pool components corpus, Provenance.empty_impact)
-  else
-    let streams = corpus.Dptrace.Corpus.streams in
-    let merge2 (r1, p1) (r2, p2) =
-      (merge r1 r2, Provenance.merge_impact p1 p2)
-    in
-    let init = (empty, Provenance.empty_impact) in
-    (match pool with
-    | Some pool ->
-      Dppar.Pool.parallel_map_reduce pool
-        ~map:(analyze_stream_prov components)
-        ~reduce:merge2 ~init streams
-    | None ->
-      List.fold_left
-        (fun acc st -> merge2 acc (analyze_stream_prov components st))
-        init streams)
-
 let fdiv a b = Dputil.Stats.ratio (float_of_int a) (float_of_int b)
 
 let ia_run r = fdiv r.d_run r.d_scn

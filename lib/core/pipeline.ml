@@ -63,6 +63,32 @@ let build_graphs ?pool _corpus entries =
     Array.to_list out
     |> List.map (function Some g -> g | None -> assert false)
 
+(* The tail both scenario paths share: the coverage denominator is
+   everything the slow-class aggregation absorbed at its end nodes, plus
+   the non-optimisable mass the reduction pruned (counted as
+   unexplainable driver cost). Bounded and consistent with the patterns'
+   end-node costs. *)
+let finish_scenario ~classification ~slow_impact ~slow_impact_prov ~fast_awg
+    ~slow_awg ~mining =
+  let driver_cost =
+    Awg.total_leaf_cost slow_awg + (Awg.reduction slow_awg).Awg.pruned_cost
+  in
+  let coverages =
+    span "pipeline.evaluation" (fun () ->
+        Evaluation.time_coverages mining.Mining.patterns
+          ~tslow:classification.Classify.spec.Dptrace.Scenario.tslow
+          ~driver_cost)
+  in
+  {
+    classification;
+    slow_impact;
+    slow_impact_prov;
+    fast_awg;
+    slow_awg;
+    mining;
+    coverages;
+  }
+
 let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
     corpus name =
   span ~args:[ ("scenario", name) ] "pipeline.run_scenario" @@ fun () ->
@@ -88,77 +114,91 @@ let run_scenario ?pool ?(k = Mining.default_k) ?(reduce = true) components
         Mining.mine ?pool ~k ~fast:fast_awg ~slow:slow_awg
           ~spec:classification.Classify.spec ())
   in
-  (* Coverage denominator: everything the slow-class aggregation absorbed
-     at its end nodes, plus the non-optimisable mass the reduction pruned
-     (counted as unexplainable driver cost). Bounded and consistent with
-     the patterns' end-node costs. *)
-  let driver_cost =
-    Awg.total_leaf_cost slow_awg + (Awg.reduction slow_awg).Awg.pruned_cost
-  in
-  let coverages =
-    span "pipeline.evaluation" (fun () ->
-        Evaluation.time_coverages mining.Mining.patterns
-          ~tslow:classification.Classify.spec.Dptrace.Scenario.tslow
-          ~driver_cost)
-  in
-  {
-    classification;
-    slow_impact;
-    slow_impact_prov;
-    fast_awg;
-    slow_awg;
-    mining;
-    coverages;
-  }
+  finish_scenario ~classification ~slow_impact ~slow_impact_prov ~fast_awg
+    ~slow_awg ~mining
 
-let run_impact ?pool components corpus = Impact.analyze ?pool components corpus
+(* Merge two (impact, provenance) partials. With provenance off every
+   partial carries {!Provenance.empty_impact}, so only the impact is
+   merged: the fold does no more work than a plain impact pass. *)
+let merge_impact_prov () =
+  if Provenance.enabled () then fun (r1, p1) (r2, p2) ->
+    (Impact.merge r1 r2, Provenance.merge_impact p1 p2)
+  else fun (r1, p1) (r2, _) -> (Impact.merge r1 r2, p1)
 
-let run_impact_prov ?pool components corpus =
-  Impact.analyze_prov ?pool components corpus
+let no_impact = (Impact.empty, Provenance.empty_impact)
+
+let run_impact_prov ?pool components (corpus : Dptrace.Corpus.t) =
+  (* One partial result per stream — each stream's memoised index is
+     built at most once — merged in stream order. The distinct-wait
+     deduplication never crosses streams, every impact field merges by
+     integer addition, provenance records are keyed by (stream, event)
+     and its reservoirs are association-independent: the per-stream
+     reduction is exact, so parallel and sequential runs agree. *)
+  let of_stream (st : Dptrace.Stream.t) =
+    let index = Dptrace.Stream.shared_index st in
+    Impact.analyze_graphs_prov components
+      (List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances)
+  in
+  let merge = merge_impact_prov () in
+  let streams = corpus.Dptrace.Corpus.streams in
+  match pool with
+  | Some pool ->
+    Dppar.Pool.parallel_map_reduce pool ~map:of_stream ~reduce:merge
+      ~init:no_impact streams
+  | None ->
+    List.fold_left (fun acc st -> merge acc (of_stream st)) no_impact streams
+
+(* Per-scenario impacts in report order: [d_wait] descending, then name. *)
+let sort_scenario_impacts =
+  List.sort (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
+      match compare b.Impact.d_wait a.Impact.d_wait with
+      | 0 -> compare na nb
+      | c -> c)
+
+let count_scenario_done () =
+  if Dpobs.metrics_on () then Dpobs.Metrics.incr (scenarios_done ())
 
 let impact_per_scenario ?pool components corpus =
   (* Scenario-level fan-out; graph building inside each scenario stays
      sequential (one unit of work per worker, no nested parallelism). The
-     final order is fixed by the sort below, never by completion order. *)
+     final order is fixed by the sort, never by completion order. *)
   let impact_of name =
     let graphs = build_graphs corpus (Dptrace.Corpus.instances_of corpus name) in
     let r = (name, Impact.analyze_graphs components graphs) in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (scenarios_done ());
+    count_scenario_done ();
     r
   in
   let names = Dptrace.Corpus.scenario_names corpus in
-  (match pool with
-  | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool impact_of names
-  | None -> List.map impact_of names)
-  |> List.sort (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
-         match compare b.Impact.d_wait a.Impact.d_wait with
-         | 0 -> compare na nb
-         | c -> c)
+  sort_scenario_impacts
+    (match pool with
+    | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool impact_of names
+    | None -> List.map impact_of names)
 
-let run_all ?pool ?k ?reduce ?scenarios components corpus =
+(* The fan-out both [run_all]s share: one scenario per work item, each
+   run sequentially in its worker, results in the order of [names] (not
+   completion order); names without a spec are skipped. *)
+let fan_out ?pool ?scenarios corpus run =
   let names =
     match scenarios with
     | Some names -> names
     | None -> Dptrace.Corpus.scenario_names corpus
   in
-  (* One scenario per work item; run_scenario itself runs sequentially in
-     the worker. Results are merged by the scenario-name order of [names],
-     not completion order. *)
   let one name =
     let r =
-      match run_scenario ?k ?reduce components corpus name with
+      match run name with
       | r -> Some (name, r)
       | exception Not_found -> None
     in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (scenarios_done ());
+    count_scenario_done ();
     r
   in
   (match pool with
   | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
   | None -> List.map one names)
   |> List.filter_map Fun.id
+
+let run_all ?pool ?k ?reduce ?scenarios components corpus =
+  fan_out ?pool ?scenarios corpus (run_scenario ?k ?reduce components corpus)
 
 (* --- snapshot-backed variants ---
 
@@ -175,17 +215,9 @@ let fold_entries snapshot (corpus : Dptrace.Corpus.t) ~init ~merge ~of_entry =
     (fun acc st -> merge acc (of_entry (Snapshot.entry snapshot st)))
     init corpus.Dptrace.Corpus.streams
 
-let run_impact_snap snapshot corpus =
-  span "pipeline.impact_snap" @@ fun () ->
-  fold_entries snapshot corpus ~init:Impact.empty ~merge:Impact.merge
-    ~of_entry:Snapshot.entry_impact
-
 let run_impact_prov_snap snapshot corpus =
   span "pipeline.impact_snap" @@ fun () ->
-  fold_entries snapshot corpus
-    ~init:(Impact.empty, Provenance.empty_impact)
-    ~merge:(fun (r1, p1) (r2, p2) ->
-      (Impact.merge r1 r2, Provenance.merge_impact p1 p2))
+  fold_entries snapshot corpus ~init:no_impact ~merge:(merge_impact_prov ())
     ~of_entry:Snapshot.entry_impact_prov
 
 let modules_snap snapshot corpus =
@@ -200,21 +232,18 @@ let impact_per_scenario_snap snapshot corpus =
           Option.value ~default:Impact.empty
             (Snapshot.entry_scenario_impact e name))
     in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (scenarios_done ());
+    count_scenario_done ();
     (name, r)
   in
-  List.map impact_of (Dptrace.Corpus.scenario_names corpus)
-  |> List.sort (fun (na, (a : Impact.result)) (nb, (b : Impact.result)) ->
-         match compare b.Impact.d_wait a.Impact.d_wait with
-         | 0 -> compare na nb
-         | c -> c)
+  sort_scenario_impacts
+    (List.map impact_of (Dptrace.Corpus.scenario_names corpus))
 
-let run_scenario_snap ?pool ?(k = Mining.default_k) ?(reduce = true) snapshot
-    corpus name =
+(* Cached [run_scenario]: classification is recomputed (cheap, and part
+   of the result); impact, provenance and both AWGs come from merged
+   snapshot partials; mining and coverages are computed on the merge. *)
+let run_scenario_snap ?(k = Mining.default_k) ?(reduce = true) snapshot corpus
+    name =
   span ~args:[ ("scenario", name) ] "pipeline.run_scenario_snap" @@ fun () ->
-  (* Classification is cheap (one pass over the instances) and part of
-     the result, so it is recomputed rather than cached. *)
   let classification =
     span "pipeline.classify" (fun () -> Classify.classify corpus name)
   in
@@ -228,8 +257,7 @@ let run_scenario_snap ?pool ?(k = Mining.default_k) ?(reduce = true) snapshot
     List.fold_left
       (fun (r, p) (ri, pi, _, _) ->
         (Impact.merge r ri, Provenance.merge_impact p pi))
-      (Impact.empty, Provenance.empty_impact)
-      parts
+      no_impact parts
   in
   let fast_awg =
     span "pipeline.awg_merge" (fun () ->
@@ -251,53 +279,18 @@ let run_scenario_snap ?pool ?(k = Mining.default_k) ?(reduce = true) snapshot
         | Some m -> m
         | None ->
           let m =
-            Mining.mine ?pool ~k ~fast:fast_awg ~slow:slow_awg
+            Mining.mine ~k ~fast:fast_awg ~slow:slow_awg
               ~spec:classification.Classify.spec ()
           in
           Snapshot.store_mining snapshot corpus name ~reduce ~k m;
           m)
   in
-  let driver_cost =
-    Awg.total_leaf_cost slow_awg + (Awg.reduction slow_awg).Awg.pruned_cost
-  in
-  let coverages =
-    span "pipeline.evaluation" (fun () ->
-        Evaluation.time_coverages mining.Mining.patterns
-          ~tslow:classification.Classify.spec.Dptrace.Scenario.tslow
-          ~driver_cost)
-  in
-  {
-    classification;
-    slow_impact;
-    slow_impact_prov;
-    fast_awg;
-    slow_awg;
-    mining;
-    coverages;
-  }
+  finish_scenario ~classification ~slow_impact ~slow_impact_prov ~fast_awg
+    ~slow_awg ~mining
 
 let run_all_snap ?pool ?k ?reduce ?scenarios snapshot corpus =
-  let names =
-    match scenarios with
-    | Some names -> names
-    | None -> Dptrace.Corpus.scenario_names corpus
-  in
-  (* Mirror run_all: one scenario per work item, mining sequential inside
-     the worker, results in [names] order. *)
-  let one name =
-    let r =
-      match run_scenario_snap ?k ?reduce snapshot corpus name with
-      | r -> Some (name, r)
-      | exception Not_found -> None
-    in
-    if Dpobs.metrics_on () then
-      Dpobs.Metrics.incr (scenarios_done ());
-    r
-  in
-  (match pool with
-  | Some pool -> Dppar.Pool.parallel_map ~chunk:1 pool one names
-  | None -> List.map one names)
-  |> List.filter_map Fun.id
+  fan_out ?pool ?scenarios corpus
+    (run_scenario_snap ?k ?reduce snapshot corpus)
 
 let driver_cost_fraction r =
   (* Distinct driver time over slow-class scenario time: the paper's

@@ -8,7 +8,7 @@
 
     Every entry point takes an optional [?pool] (a {!Dppar.Pool.t}); when
     given, independent units of work — streams within {!build_graphs} and
-    {!run_impact}, scenarios within {!run_all} and
+    {!run_impact_prov}, scenarios within {!run_all} and
     {!impact_per_scenario} — fan out across its domains. Parallel results
     are {e bit-identical} to sequential ones: work is only split along
     independence boundaries, results are merged in input order (never
@@ -65,18 +65,21 @@ val run_all :
     out across domains — one scenario per work item — and the result list
     follows the order of [scenarios] regardless of completion order. *)
 
-val run_impact :
-  ?pool:Dppar.Pool.t -> Component.t -> Dptrace.Corpus.t -> Impact.result
-(** Whole-corpus impact analysis (Section 5.1). [pool] fans the
-    per-stream measurement out across domains (see {!Impact.analyze}). *)
-
 val run_impact_prov :
   ?pool:Dppar.Pool.t ->
   Component.t ->
   Dptrace.Corpus.t ->
   Impact.result * Provenance.impact
-(** {!run_impact} plus the provenance of the measured numbers (see
-    {!Impact.analyze_prov}). *)
+(** Whole-corpus impact analysis (Section 5.1) and the provenance of the
+    measured numbers: the Wait Graph of every instance, measured with
+    {!Impact.analyze_graphs_prov} as one partial result per stream (each
+    stream's memoised {!Dptrace.Stream.shared_index} is built at most
+    once), {!Impact.merge}d in stream order. [pool] fans the per-stream
+    work across domains; the reduction is exact over disjoint streams, so
+    the parallel result is bit-identical to the sequential one. With
+    {!Provenance.enabled} false the provenance is
+    {!Provenance.empty_impact} and no provenance work is done; callers
+    that need only the impact take [fst]. *)
 
 val impact_per_scenario :
   ?pool:Dppar.Pool.t ->
@@ -102,19 +105,6 @@ val impact_per_scenario :
     All raise [Invalid_argument] if the snapshot lacks an entry for some
     stream (i.e. {!Snapshot.ensure} was not run for this corpus). *)
 
-val run_scenario_snap :
-  ?pool:Dppar.Pool.t ->
-  ?k:int ->
-  ?reduce:bool ->
-  Snapshot.t ->
-  Dptrace.Corpus.t ->
-  string ->
-  scenario_result
-(** Cached {!run_scenario}: classification is recomputed (cheap, and part
-    of the result); impact, provenance and both AWGs come from merged
-    snapshot partials; mining and coverages are computed on the merge.
-    @raise Not_found if the corpus has no spec for the scenario. *)
-
 val run_all_snap :
   ?pool:Dppar.Pool.t ->
   ?k:int ->
@@ -123,10 +113,10 @@ val run_all_snap :
   Snapshot.t ->
   Dptrace.Corpus.t ->
   (string * scenario_result) list
-(** Cached {!run_all}. *)
-
-val run_impact_snap : Snapshot.t -> Dptrace.Corpus.t -> Impact.result
-(** Cached {!run_impact}. *)
+(** Cached {!run_all}: per scenario, classification is recomputed (cheap,
+    and part of the result); impact, provenance and both AWGs come from
+    merged snapshot partials; mining and coverages are computed on the
+    merge, or the mining result is reused from the snapshot. *)
 
 val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact

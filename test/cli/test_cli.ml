@@ -1,6 +1,8 @@
 (* User errors on the command line must end in a message and a nonzero
    exit code, never in an uncaught exception (which cmdliner reports as
-   an internal error with exit code 125). Usage: test_cli DRIVEPERF. *)
+   an internal error with exit code 125). The analysis commands must also
+   print the same bytes whatever the domain count, telemetry and cache
+   settings. Usage: test_cli DRIVEPERF. *)
 
 let driveperf =
   if Array.length Sys.argv < 2 then failwith "usage: test_cli DRIVEPERF"
@@ -10,10 +12,14 @@ let driveperf =
 
 let dir = Filename.temp_dir "driveperf_cli" ""
 
-let () =
-  at_exit (fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
+let rec remove path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let () = at_exit (fun () -> remove dir)
 let corpus = Filename.concat dir "c.dpf"
 
 let generated =
@@ -56,6 +62,85 @@ let known_scenario () =
   if not (contains out ("scenario " ^ name)) then
     Alcotest.failf "unexpected output:\n%s" out
 
+(* A path under a missing directory cannot be written: exit 1 with the
+   system's message, not an uncaught [Sys_error]. *)
+let missing = Filename.concat dir "missing/sub"
+
+let unwritable name args =
+  Alcotest.test_case name `Quick
+    (expect_failure ~code:1 ~message:"No such file or directory" args)
+
+(* --- stress matrix ---
+
+   Every analysis command, run at -j 1 and -j 4, with telemetry off and
+   on (--trace-out/--metrics-out), and for the commands that take
+   --cache also with a cold and then a warm cache, must print exactly
+   what the plain -j 1 run prints. *)
+
+let scenario = List.hd (Dptrace.Corpus.scenario_names generated)
+
+(* (name, arguments, takes --cache) *)
+let matrix_commands =
+  [
+    ("impact", [ "impact"; "--by-module"; "--per-scenario" ], true);
+    ("report", [ "report" ], true);
+    ("report --json", [ "report"; "--json" ], true);
+    ("analyze", [ "analyze" ], true);
+    ("analyze --json", [ "analyze"; "--json" ], true);
+    ("causality", [ "causality"; scenario ], false);
+    ("explain", [ "explain"; scenario ], false);
+    ("flame", [ "flame"; scenario; "-o"; Filename.concat dir "views" ], false);
+  ]
+
+let fresh_cache =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat dir (Printf.sprintf "cache%d" !n)
+
+let stress (name, args, cached) =
+  Alcotest.test_case name `Quick @@ fun () ->
+  let run_ok extra =
+    let code, out, err = run (args @ [ "-c"; corpus ] @ extra) in
+    if code <> 0 then
+      Alcotest.failf "%s %s: exit %d\n%s" name (String.concat " " extra) code
+        err;
+    out
+  in
+  let reference = run_ok [ "-j"; "1" ] in
+  let telemetry =
+    [
+      [];
+      [
+        "--trace-out"; Filename.concat dir "trace.json";
+        "--metrics-out"; Filename.concat dir "metrics.json";
+      ];
+    ]
+  in
+  let mismatches = ref [] in
+  List.iter
+    (fun j ->
+      List.iter
+        (fun tel ->
+          let check ?(note = "") extra =
+            let extra = [ "-j"; j ] @ tel @ extra in
+            if run_ok extra <> reference then
+              mismatches := (String.concat " " extra ^ note) :: !mismatches
+          in
+          check [];
+          if cached then begin
+            let cache = [ "--cache"; fresh_cache () ] in
+            check ~note:" (cold)" cache;
+            check ~note:" (warm)" cache
+          end)
+        telemetry)
+    [ "1"; "4" ];
+  match !mismatches with
+  | [] -> ()
+  | ms ->
+    Alcotest.failf "%s: output differs from the plain -j 1 run under:\n%s" name
+      (String.concat "\n" (List.rev ms))
+
 (* Alcotest parses the command line too; leave it only the program name. *)
 let () =
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
@@ -83,5 +168,18 @@ let () =
           Alcotest.test_case "timeline --width 0" `Quick
             (expect_failure ~code:124 ~message:"expected an integer >= 1"
                [ "timeline"; "0"; "--width"; "0"; "-c"; corpus ]);
+          Alcotest.test_case "causality -k 0" `Quick
+            (expect_failure ~code:124 ~message:"expected an integer >= 1"
+               [ "causality"; scenario; "-k"; "0"; "-c"; corpus ]);
         ] );
+      ( "unwritable paths",
+        [
+          unwritable "generate -o"
+            [ "generate"; "--scale"; "0.01"; "-o"; Filename.concat missing "x.dpf" ];
+          unwritable "convert" [ "convert"; corpus; Filename.concat missing "y.dpf" ];
+          unwritable "analyze -o"
+            [ "analyze"; "-c"; corpus; "-o"; Filename.concat missing "r.md" ];
+          unwritable "report --cache" [ "report"; "-c"; corpus; "--cache"; missing ];
+        ] );
+      ("stress matrix", List.map stress matrix_commands);
     ]

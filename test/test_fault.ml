@@ -300,7 +300,7 @@ let prop_zero_quarantine_byte_identical =
       let plain_doc = doc_of corpus in
       let plain_text =
         Dputil.Table.render (Report.impact_summary
-           (Pipeline.run_impact components corpus))
+           (fst (Pipeline.run_impact_prov components corpus)))
       in
       let spec = Printf.sprintf "%d:io-flaky" seed in
       with_plan spec @@ fun _ ->
@@ -308,7 +308,7 @@ let prop_zero_quarantine_byte_identical =
       cov.Pipeline.cov_quarantined = []
       && doc_with_coverage cov screened = plain_doc
       && Dputil.Table.render (Report.impact_summary
-            (Pipeline.run_impact components screened))
+            (fst (Pipeline.run_impact_prov components screened)))
          = plain_text)
 
 let prop_screen_replays =

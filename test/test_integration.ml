@@ -24,7 +24,7 @@ let named_results =
        Dpworkload.Scenarios.named)
 
 let test_impact_bands () =
-  let r = Pipeline.run_impact drivers (Lazy.force corpus) in
+  let r, _ = Pipeline.run_impact_prov drivers (Lazy.force corpus) in
   let ia_wait = 100.0 *. Impact.ia_wait r in
   let ia_run = 100.0 *. Impact.ia_run r in
   let ia_opt = 100.0 *. Impact.ia_opt r in
@@ -118,8 +118,8 @@ let test_codec_preserves_analysis () =
   let reloaded =
     Dptrace.Codec.corpus_of_string (Dptrace.Codec.corpus_to_string corpus)
   in
-  let a = Pipeline.run_impact drivers corpus in
-  let b = Pipeline.run_impact drivers reloaded in
+  let a, _ = Pipeline.run_impact_prov drivers corpus in
+  let b, _ = Pipeline.run_impact_prov drivers reloaded in
   check Alcotest.int "d_scn preserved" a.Impact.d_scn b.Impact.d_scn;
   check Alcotest.int "d_wait preserved" a.Impact.d_wait b.Impact.d_wait;
   check Alcotest.int "d_waitdist preserved" a.Impact.d_waitdist b.Impact.d_waitdist;

@@ -195,9 +195,9 @@ let test_run_scenario_deterministic () =
 
 let test_impact_deterministic () =
   let corpus = Lazy.force small_corpus in
-  let seq = Dpcore.Impact.analyze drivers corpus in
+  let seq, _ = Dpcore.Pipeline.run_impact_prov drivers corpus in
   Pool.with_pool ~domains:4 (fun pool ->
-      let par = Dpcore.Impact.analyze ~pool drivers corpus in
+      let par, _ = Dpcore.Pipeline.run_impact_prov ~pool drivers corpus in
       check Alcotest.bool "identical impact records" true (seq = par);
       let seq_ps = Dpcore.Pipeline.impact_per_scenario drivers corpus in
       let par_ps = Dpcore.Pipeline.impact_per_scenario ~pool drivers corpus in

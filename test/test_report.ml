@@ -31,7 +31,7 @@ let analyzed =
   lazy
     (with_provenance (fun () ->
          let corpus = Lazy.force corpus in
-         let impact, prov = Impact.analyze_prov drivers corpus in
+         let impact, prov = Pipeline.run_impact_prov drivers corpus in
          let graphs =
            Pipeline.build_graphs corpus (Dptrace.Corpus.all_instances corpus)
          in
