@@ -274,11 +274,13 @@ let with_session ~cache ~components ~j ~mode corpus_path f =
     let s = Dpcore.Snapshot.stats snap in
     Dpobs.Log.info
       "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
-       mining %d hit(s) / %d miss(es)"
+       mining %d hit(s) / %d miss(es), saved %d record(s) reused / %d \
+       encoded"
       dir s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
       s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
       s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
-      s.Dpcore.Snapshot.s_mining_misses;
+      s.Dpcore.Snapshot.s_mining_misses s.Dpcore.Snapshot.s_reused
+      s.Dpcore.Snapshot.s_encoded;
     r
 
 (* Whole-corpus impact and its provenance (empty unless enabled). *)
@@ -385,6 +387,7 @@ let with_obs ?(metrics = false) o f =
   | None -> ());
   (match o.metrics_out with
   | Some path ->
+    Dpobs.Metrics.record_gc ();
     Dpobs.Export.write_metrics path;
     Dpobs.Log.info "wrote engine metrics %s" path
   | None -> ());

@@ -28,6 +28,8 @@ let stale_c () = Dpobs.Metrics.counter "snapshot.stale"
 let bytes_c () = Dpobs.Metrics.counter "snapshot.bytes"
 let mining_hit_c () = Dpobs.Metrics.counter "snapshot.mining_hit"
 let mining_miss_c () = Dpobs.Metrics.counter "snapshot.mining_miss"
+let reused_c () = Dpobs.Metrics.counter "snapshot.records_reused"
+let encoded_c () = Dpobs.Metrics.counter "snapshot.records_encoded"
 
 (* --- config fingerprint --- *)
 
@@ -472,12 +474,30 @@ let read_entry cur =
 
 (* --- cache files --- *)
 
+(* A record's wire form as it sits in the file: its payload and the
+   payload's CRC. A record read intact from disk keeps the bytes it was
+   decoded from; a record [save] serialises keeps that serialisation. So
+   [save] writes kept bytes back and encodes only records that have none.
+
+   Kept bytes stay valid because a slot's value never changes while the
+   slot lives:
+   - per-stream entries are never replaced once a key has one: [ensure]
+     inserts only keys it did not find;
+   - a scenario's mining record is replaced by [store_mining], which
+     installs a fresh slot with no kept bytes under [lock] (pool workers
+     call it), dropping the old record's bytes with the old record. *)
+type kept = { payload : string; crc : int }
+
+type 'a slot = { value : 'a; mutable kept : kept option }
+
+let new_slot value = { value; kept = None }
+
 type t = {
   dir : string option;
   fp : string;
-  entries : (string, entry) Hashtbl.t;  (* key -> entry *)
+  entries : (string, entry slot) Hashtbl.t;  (* key -> entry *)
   used : (string, unit) Hashtbl.t;  (* keys referenced by this corpus *)
-  scenarios : (string, string * Mining.result) Hashtbl.t;
+  scenarios : (string, (string * Mining.result) slot) Hashtbl.t;
       (* scenario name -> (digest, mining); guarded by [lock] because
          run_all_snap consults it from pool workers *)
   lock : Mutex.t;
@@ -487,6 +507,8 @@ type t = {
   mutable dropped : int;  (* on-disk entries discarded as corrupt *)
   mutable mining_hits : int;
   mutable mining_misses : int;
+  mutable reused : int;  (* records [save] wrote from kept bytes *)
+  mutable encoded : int;  (* records [save] serialised *)
 }
 
 type stats = {
@@ -497,6 +519,8 @@ type stats = {
   s_dropped : int;
   s_mining_hits : int;
   s_mining_misses : int;
+  s_reused : int;
+  s_encoded : int;
 }
 
 let stale t =
@@ -513,6 +537,8 @@ let stats t =
     s_dropped = t.dropped;
     s_mining_hits = t.mining_hits;
     s_mining_misses = t.mining_misses;
+    s_reused = t.reused;
+    s_encoded = t.encoded;
   }
 
 let file_of ~dir ~fp = Filename.concat dir (fp ^ ".dpsnap")
@@ -535,8 +561,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Parse one cache file into [feed key entry] (per-stream entries) and
-   [feed_scen name digest mining] (scenario mining records). Per-entry
+(* Parse one cache file into [feed key entry kept] (per-stream entries)
+   and [feed_scen name (digest, mining) kept] (scenario mining records),
+   where [kept] is the record's verified payload and CRC. Per-entry
    containment: a checksum-failing or undecodable record is skipped
    (counted corrupt) and the walk continues at the next record; damaged
    framing (implausible length) abandons the remainder of the file.
@@ -565,6 +592,7 @@ let parse_file data ~expect_fp ~feed ~feed_scen =
        Wire.need cur elen;
        let payload = String.sub data cur.Wire.pos elen in
        cur.Wire.pos <- cur.Wire.pos + elen;
+       let kept = { payload; crc = stored } in
        if Dputil.Crc32.string payload <> stored then incr bad
        else if is_scen_key key then begin
          let name =
@@ -572,15 +600,15 @@ let parse_file data ~expect_fp ~feed ~feed_scen =
              (String.length key - String.length scen_prefix)
          in
          match read_scen_record (Wire.cursor payload) with
-         | digest, mining ->
-           feed_scen name digest mining;
+         | record ->
+           feed_scen name record kept;
            incr ok
          | exception Dptrace.Codec_binary.Corrupt _ -> incr bad
        end
        else
          match read_entry (Wire.cursor payload) with
          | e ->
-           feed key e;
+           feed key e kept;
            incr ok
          | exception Dptrace.Codec_binary.Corrupt _ -> incr bad
      done
@@ -602,6 +630,8 @@ let create ?dir ~fingerprint:fp () =
       dropped = 0;
       mining_hits = 0;
       mining_misses = 0;
+      reused = 0;
+      encoded = 0;
     }
   in
   (match dir with
@@ -613,9 +643,11 @@ let create ?dir ~fingerprint:fp () =
       | data ->
         let ok, bad =
           parse_file data ~expect_fp:(Some fp)
-            ~feed:(fun key e -> Hashtbl.replace t.entries key e)
-            ~feed_scen:(fun name digest mining ->
-              Hashtbl.replace t.scenarios name (digest, mining))
+            ~feed:(fun key e kept ->
+              Hashtbl.replace t.entries key { value = e; kept = Some kept })
+            ~feed_scen:(fun name record kept ->
+              Hashtbl.replace t.scenarios name
+                { value = record; kept = Some kept })
         in
         t.loaded <- ok;
         t.dropped <- bad;
@@ -630,32 +662,66 @@ let save t =
   | None -> ()
   | Some dir ->
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf magic;
-    Wire.wstr buf t.fp;
-    let record key payload =
-      Wire.wstr buf key;
-      le32 buf (String.length payload);
-      le32 buf (Dputil.Crc32.string payload);
-      Buffer.add_string buf payload
+    let reused = ref 0 and encoded = ref 0 in
+    (* A record's kept bytes, serialising it first if it has none. *)
+    let kept_of slot write =
+      match slot.kept with
+      | Some k ->
+        incr reused;
+        k
+      | None ->
+        let ebuf = Buffer.create 4096 in
+        write ebuf slot.value;
+        let payload = Buffer.contents ebuf in
+        let k = { payload; crc = Dputil.Crc32.string payload } in
+        slot.kept <- Some k;
+        incr encoded;
+        k
     in
     (* Sorted keys: the file is a pure function of its contents. *)
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.entries [] in
+    let sorted tbl =
+      List.sort
+        (fun (a, _) (b, _) -> compare a b)
+        (Hashtbl.fold (fun k slot acc -> (k, slot) :: acc) tbl [])
+    in
+    let records =
+      Mutex.protect t.lock @@ fun () ->
+      List.map
+        (fun (key, slot) -> (key, kept_of slot write_entry))
+        (sorted t.entries)
+      @ List.map
+          (fun (name, slot) ->
+            ( scen_prefix ^ name,
+              kept_of slot (fun buf (digest, mining) ->
+                  write_scen_record buf ~digest mining) ))
+          (sorted t.scenarios)
+    in
+    t.reused <- t.reused + !reused;
+    t.encoded <- t.encoded + !encoded;
+    if Dpobs.metrics_on () then begin
+      Dpobs.Metrics.add (reused_c ()) !reused;
+      Dpobs.Metrics.add (encoded_c ()) !encoded
+    end;
+    (* An upper bound on the file size, so the buffer never regrows: a
+       string's length varint takes at most 10 bytes, a record's length
+       and CRC 8. *)
+    let size =
+      List.fold_left
+        (fun acc (key, k) ->
+          acc + String.length key + String.length k.payload + 18)
+        (String.length magic + String.length t.fp + 10)
+        records
+    in
+    let buf = Buffer.create size in
+    Buffer.add_string buf magic;
+    Wire.wstr buf t.fp;
     List.iter
-      (fun key ->
-        let e = Hashtbl.find t.entries key in
-        let ebuf = Buffer.create 4096 in
-        write_entry ebuf e;
-        record key (Buffer.contents ebuf))
-      (List.sort compare keys);
-    let scen_names = Hashtbl.fold (fun n _ acc -> n :: acc) t.scenarios [] in
-    List.iter
-      (fun name ->
-        let digest, mining = Hashtbl.find t.scenarios name in
-        let ebuf = Buffer.create 4096 in
-        write_scen_record ebuf ~digest mining;
-        record (scen_prefix ^ name) (Buffer.contents ebuf))
-      (List.sort compare scen_names);
+      (fun (key, k) ->
+        Wire.wstr buf key;
+        le32 buf (String.length k.payload);
+        le32 buf k.crc;
+        Buffer.add_string buf k.payload)
+      records;
     let path = file_of ~dir ~fp:t.fp in
     let tmp = path ^ ".tmp" in
     (* [snapshot.write] fault site. A [Torn_write] really persists only
@@ -719,7 +785,7 @@ let ensure ?pool t components (corpus : Corpus.t) =
     | _ ->
       List.map (fun (key, st) -> (key, analyze_stream components ~specs st)) misses
   in
-  List.iter (fun (key, e) -> Hashtbl.replace t.entries key e) fresh;
+  List.iter (fun (key, e) -> Hashtbl.replace t.entries key (new_slot e)) fresh;
   if Dpobs.metrics_on () then begin
     Dpobs.Metrics.add (hit_c ()) !hits;
     Dpobs.Metrics.add (miss_c ()) (List.length misses);
@@ -728,7 +794,7 @@ let ensure ?pool t components (corpus : Corpus.t) =
 
 let entry t st =
   match Hashtbl.find_opt t.entries (key_of st) with
-  | Some e -> e
+  | Some slot -> slot.value
   | None ->
     invalid_arg
       (Printf.sprintf "Snapshot.entry: stream %d not ensured" st.Stream.id)
@@ -752,7 +818,7 @@ let scenario_digest t (corpus : Corpus.t) name ~reduce ~k =
     (fun st ->
       let key = key_of st in
       match Hashtbl.find_opt t.entries key with
-      | Some e when entry_scenario_class e name <> None ->
+      | Some slot when entry_scenario_class slot.value name <> None ->
         Buffer.add_string buf key;
         Buffer.add_char buf '\n'
       | _ -> ())
@@ -766,7 +832,7 @@ let find_mining t corpus name ~reduce ~k =
   let digest = scenario_digest t corpus name ~reduce ~k in
   Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.scenarios name with
-  | Some (d, mining) when d = digest ->
+  | Some { value = d, mining; _ } when d = digest ->
     t.mining_hits <- t.mining_hits + 1;
     if Dpobs.metrics_on () then Dpobs.Metrics.incr (mining_hit_c ());
     Some mining
@@ -778,7 +844,7 @@ let find_mining t corpus name ~reduce ~k =
 let store_mining t corpus name ~reduce ~k mining =
   let digest = scenario_digest t corpus name ~reduce ~k in
   Mutex.protect t.lock @@ fun () ->
-  Hashtbl.replace t.scenarios name (digest, mining)
+  Hashtbl.replace t.scenarios name (new_slot (digest, mining))
 
 (* --- cache-directory tooling (driveperf cache) --- *)
 
@@ -814,7 +880,7 @@ let inspect path =
   in
   let ok, bad =
     parse_file data ~expect_fp:None
-      ~feed:(fun _ _ -> ())
+      ~feed:(fun _ _ _ -> ())
       ~feed_scen:(fun _ _ _ -> ())
   in
   let mtime = try (Unix.stat path).Unix.st_mtime with _ -> 0.0 in

@@ -34,7 +34,8 @@
 
     Observability: {!create}/{!save}/{!ensure} bump the
     [snapshot.hit]/[snapshot.miss]/[snapshot.stale]/[snapshot.bytes]
-    metrics, and {!find_mining} the
+    metrics, {!save} the [snapshot.records_reused]/[snapshot.records_encoded]
+    pair, and {!find_mining} the
     [snapshot.mining_hit]/[snapshot.mining_miss] pair, when
     {!Dpobs.metrics_on}. *)
 
@@ -111,8 +112,11 @@ val entry : t -> Dptrace.Stream.t -> entry
 val save : t -> unit
 (** Write every entry back to [dir/<fingerprint>.dpsnap] (creating [dir]
     if needed) via a temp file and atomic rename. Entries are written in
-    sorted key order: the file is a pure function of its contents. No-op
-    for in-memory snapshots. *)
+    sorted key order: the file is a pure function of its contents. A
+    record loaded intact, or serialised by an earlier save of [t], is
+    written from the bytes it keeps; only the others are serialised. So a
+    save of an unchanged store reproduces the file it was loaded from.
+    No-op for in-memory snapshots. *)
 
 (** {1 Scenario mining cache} *)
 
@@ -139,6 +143,8 @@ type stats = {
   s_dropped : int;  (** On-disk records discarded as corrupt. *)
   s_mining_hits : int;  (** Scenarios whose mining result was reused. *)
   s_mining_misses : int;  (** Scenarios re-mined. *)
+  s_reused : int;  (** Records {!save} wrote back from kept bytes. *)
+  s_encoded : int;  (** Records {!save} serialised. *)
 }
 
 val stats : t -> stats

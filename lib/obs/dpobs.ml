@@ -142,6 +142,18 @@ module Metrics = struct
       if v > cur && not (Atomic.compare_and_set g.g_cell cur v) then set_max g v
     end
 
+  let record_gc () =
+    let g = Gc.quick_stat () in
+    List.iter
+      (fun (name, v) -> set (gauge name) v)
+      [
+        ("gc.minor_words", int_of_float g.Gc.minor_words);
+        ("gc.promoted_words", int_of_float g.Gc.promoted_words);
+        ("gc.minor_collections", g.Gc.minor_collections);
+        ("gc.major_collections", g.Gc.major_collections);
+        ("gc.top_heap_words", g.Gc.top_heap_words);
+      ]
+
   let observe h x =
     if Atomic.get metrics_flag then begin
       Mutex.lock h.h_mutex;

@@ -85,6 +85,12 @@ module Metrics : sig
   val set_max : gauge -> int -> unit
   (** Raise the gauge to [v] if above its current value (atomic). *)
 
+  val record_gc : unit -> unit
+  (** Set the [gc.minor_words], [gc.promoted_words],
+      [gc.minor_collections], [gc.major_collections] and
+      [gc.top_heap_words] gauges from [Gc.quick_stat], i.e. the process
+      totals so far. A no-op while {!metrics_on} is false. *)
+
   val observe : histogram -> float -> unit
   (** Histograms track count/sum/min/max exactly and retain the first
       65536 samples for percentile and bucket rendering. *)

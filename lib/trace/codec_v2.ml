@@ -122,8 +122,20 @@ let le32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
 
-let frame_crc kind payload =
-  Dputil.Crc32.string ~crc:(Dputil.Crc32.string (String.make 1 kind)) payload
+(* A frame's CRC covers its kind byte, then its payload: the CRC of the
+   kind byte alone is the seed the payload is chained onto, computed once
+   per kind rather than once per frame. *)
+let seed_h = Dputil.Crc32.string "H"
+let seed_s = Dputil.Crc32.string "S"
+let seed_e = Dputil.Crc32.string "E"
+
+let kind_seed = function
+  | 'H' -> seed_h
+  | 'S' -> seed_s
+  | 'E' -> seed_e
+  | k -> invalid_arg (Printf.sprintf "Codec_v2.kind_seed %C" k)
+
+let frame_crc kind payload = Dputil.Crc32.string ~crc:(kind_seed kind) payload
 
 (* --- stream content identity ---
 
@@ -422,9 +434,8 @@ let fold_raw mode src ~init ~f =
           end
           else begin
             let crc =
-              Dputil.Crc32.bytes_sub
-                ~crc:(Dputil.Crc32.string (String.make 1 kind))
-                src.buf ~pos:src.pos ~len
+              Dputil.Crc32.bytes_sub ~crc:(kind_seed kind) src.buf
+                ~pos:src.pos ~len
             in
             if crc <> stored then begin
               let frame = !idx in

@@ -5,7 +5,10 @@
     32-bit and returned in a non-negative [int]. [crc] defaults to 0 (the
     CRC of the empty string); passing a previous result chains the
     computation, so
-    [string ~crc:(string a) b = string (a ^ b)]. *)
+    [string ~crc:(string a) b = string (a ^ b)].
+
+    The kernel is slicing-by-8 (eight bytes per step through eight
+    lookup tables); its results are those of the bytewise algorithm. *)
 
 val string : ?crc:int -> string -> int
 (** CRC of a whole string, chained onto [crc]. *)

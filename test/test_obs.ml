@@ -250,6 +250,28 @@ let test_metrics_json_valid () =
       (Option.bind (Json.member "count" h) Json.num)
   | None -> Alcotest.fail "histogram missing from metrics json"
 
+(* The GC gauges the CLI records just before writing --metrics-out. *)
+let test_gc_gauges_exported () =
+  Obs.enable ~spans:false ();
+  ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+  Obs.Metrics.record_gc ();
+  Obs.disable ();
+  let gauges =
+    Option.get (Json.member "gauges" (Json.parse (Obs.Export.metrics_json ())))
+  in
+  List.iter
+    (fun name ->
+      match Option.bind (Json.member name gauges) Json.num with
+      | Some v -> check Alcotest.bool (name ^ " non-negative") true (v >= 0.0)
+      | None -> Alcotest.failf "gauge %s missing from metrics json" name)
+    [
+      "gc.minor_words";
+      "gc.promoted_words";
+      "gc.minor_collections";
+      "gc.major_collections";
+      "gc.top_heap_words";
+    ]
+
 (* --- logging --- *)
 
 let test_log_levels_and_sink () =
@@ -305,6 +327,7 @@ let () =
         [
           Alcotest.test_case "chrome trace valid" `Quick test_chrome_trace_valid;
           Alcotest.test_case "metrics json valid" `Quick test_metrics_json_valid;
+          Alcotest.test_case "gc gauges exported" `Quick test_gc_gauges_exported;
         ] );
       ( "log",
         [ Alcotest.test_case "levels and sink" `Quick test_log_levels_and_sink ] );

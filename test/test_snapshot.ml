@@ -434,6 +434,92 @@ let test_torn_file_verifies_as_corrupt () =
     (stats.Snapshot.s_misses > 0);
   check_identical ~msg:"torn file never corrupts results" snap corpus
 
+(* --- kept record bytes: save writes back what it loaded --- *)
+
+let only_file dir =
+  match Snapshot.list_files dir with
+  | [ p ] -> p
+  | l -> Alcotest.failf "expected one cache file, got %d" (List.length l)
+
+(* A warm run changes nothing, so its save must reproduce the file it
+   loaded, from kept bytes alone. *)
+let test_warm_save_reproduces_file () =
+  let corpus = gen 0.04 in
+  let dir = fresh_dir () in
+  let cold = open_snap ~dir corpus in
+  ignore (snap_doc cold corpus);
+  Snapshot.save cold;
+  let path = only_file dir in
+  let loaded = read_bin path in
+  let warm = open_snap ~dir corpus in
+  check_identical ~msg:"warm" warm corpus;
+  Snapshot.save warm;
+  check Alcotest.string "rewritten byte for byte" loaded (read_bin path);
+  let stats = Snapshot.stats warm in
+  check Alcotest.int "nothing re-encoded" 0 stats.Snapshot.s_encoded;
+  check Alcotest.int "every loaded record reused" stats.Snapshot.s_loaded
+    stats.Snapshot.s_reused
+
+(* A delta run replaces the mining records of the scenarios its new
+   streams touch; the save must write those records afresh, not the
+   bytes loaded for the records they replaced. *)
+let test_delta_save_keeps_mining_current () =
+  let full = gen 0.05 in
+  let n = List.length full.Corpus.streams in
+  let prefix =
+    Corpus.create
+      ~streams:(List.filteri (fun i _ -> i < n - 4) full.Corpus.streams)
+      ~specs:full.Corpus.specs
+  in
+  let dir = fresh_dir () in
+  let cold = open_snap ~dir prefix in
+  ignore (snap_doc cold prefix);
+  Snapshot.save cold;
+  let delta = open_snap ~dir full in
+  ignore (snap_doc delta full);
+  check Alcotest.bool "delta re-mined some scenario" true
+    ((Snapshot.stats delta).Snapshot.s_mining_misses > 0);
+  Snapshot.save delta;
+  let reopened = open_snap ~dir full in
+  check Alcotest.string "reopened = from-scratch" (fresh_doc full)
+    (snap_doc reopened full);
+  check Alcotest.int "every scenario's mining record hits" 0
+    (Snapshot.stats reopened).Snapshot.s_mining_misses
+
+(* A record that fails its checksum is dropped on load, recomputed, and
+   re-encoded by the next save: the file comes back intact. *)
+let test_corrupt_record_healed_by_save () =
+  let corpus = gen 0.03 in
+  let dir = fresh_dir () in
+  let snap = open_snap ~dir corpus in
+  ignore (snap_doc snap corpus);
+  Snapshot.save snap;
+  let path = only_file dir in
+  let clean = read_bin path in
+  (* Flip the first payload byte of the first record (a per-stream
+     entry) and the last byte of the file (the payload of the last
+     scenario record). Header: magic, then the fingerprint with its
+     one-byte length; a record: one-byte key length, key, le32 length,
+     le32 CRC, payload. *)
+  let fp_len = Char.code clean.[5] in
+  let first = 5 + 1 + fp_len in
+  let payload = first + 1 + Char.code clean.[first] + 8 in
+  let b = Bytes.of_string clean in
+  List.iter
+    (fun i -> Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a)))
+    [ payload; Bytes.length b - 1 ];
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let reopened = open_snap ~dir corpus in
+  check_identical ~msg:"after corruption" reopened corpus;
+  let stats = Snapshot.stats reopened in
+  check Alcotest.int "both damaged records dropped" 2 stats.Snapshot.s_dropped;
+  Snapshot.save reopened;
+  check Alcotest.int "exactly the dropped records re-encoded" 2
+    (Snapshot.stats reopened).Snapshot.s_encoded;
+  check Alcotest.string "file intact again" clean (read_bin path);
+  check Alcotest.int "cache verify finds no damage" 0
+    (Snapshot.inspect path).Snapshot.fi_corrupt
+
 (* --- property: cached delta = from-scratch, random corpora and splits --- *)
 
 let prop_cached_equals_fresh =
@@ -500,6 +586,15 @@ let () =
             test_stale_garbage_tmp_overwritten;
           Alcotest.test_case "torn file counted by cache verify" `Slow
             test_torn_file_verifies_as_corrupt;
+        ] );
+      ( "kept bytes",
+        [
+          Alcotest.test_case "warm save reproduces the loaded file" `Slow
+            test_warm_save_reproduces_file;
+          Alcotest.test_case "delta save keeps mining records current" `Slow
+            test_delta_save_keeps_mining_current;
+          Alcotest.test_case "corrupt record re-encoded by the next save"
+            `Slow test_corrupt_record_healed_by_save;
         ] );
       ("properties", [ qcheck prop_cached_equals_fresh ]);
     ]

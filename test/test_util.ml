@@ -6,6 +6,7 @@ module Wildcard = Dputil.Wildcard
 module Stats = Dputil.Stats
 module Interner = Dputil.Interner
 module Table = Dputil.Table
+module Crc32 = Dputil.Crc32
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -394,6 +395,77 @@ let test_table_mismatch () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: cell count mismatch")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
+(* --- Crc32 --- *)
+
+(* The classic bytewise CRC-32, kept as the reference the sliced kernel
+   must agree with. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let ref_crc ?(crc = 0) s ~pos ~len =
+  let c = ref (crc lxor 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := ref_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xffffffff
+
+let test_crc_known_answers () =
+  check Alcotest.int "123456789" 0xCBF43926 (Crc32.string "123456789");
+  check Alcotest.int "quick brown fox" 0x414FA339
+    (Crc32.string "The quick brown fox jumps over the lazy dog");
+  check Alcotest.int "empty string" 0 (Crc32.string "");
+  check Alcotest.int "empty range" 0
+    (Crc32.bytes_sub (Bytes.of_string "abc") ~pos:1 ~len:0);
+  check Alcotest.int "chaining onto empty is the identity" 0xCBF43926
+    (Crc32.string ~crc:0xCBF43926 "")
+
+let prop_crc_chaining =
+  QCheck.Test.make ~name:"crc chains over random splits" ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 200)) small_nat)
+    (fun (s, cut) ->
+      let n = String.length s in
+      let cut = cut mod (n + 1) in
+      let a = String.sub s 0 cut and b = String.sub s cut (n - cut) in
+      Crc32.string ~crc:(Crc32.string a) b = Crc32.string s
+      && Crc32.string s = ref_crc s ~pos:0 ~len:n)
+
+(* Every pos/len inside a 64-byte window, fresh and chained: covers
+   unaligned word reads, every tail length and ranges with no 8-byte
+   block at all. *)
+let test_crc_bytes_sub_window () =
+  let rng = Random.State.make [| 32 |] in
+  let b = Bytes.init 64 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let s = Bytes.to_string b in
+  for pos = 0 to 64 do
+    for len = 0 to 64 - pos do
+      List.iter
+        (fun crc ->
+          let want = ref_crc ~crc s ~pos ~len in
+          let got = Crc32.bytes_sub ~crc b ~pos ~len in
+          if got <> want then
+            Alcotest.failf "bytes_sub ~crc:%08x ~pos:%d ~len:%d = %08x, want %08x"
+              crc pos len got want)
+        [ 0; 0xdeadbeef ]
+    done
+  done;
+  check Alcotest.int "string = bytes_sub over the whole" (Crc32.string s)
+    (Crc32.bytes_sub b ~pos:0 ~len:64)
+
+let test_crc_bytes_sub_bounds () =
+  let b = Bytes.make 64 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Crc32.bytes_sub")
+        (fun () -> ignore (Crc32.bytes_sub b ~pos ~len)))
+    [ (-1, 1); (0, -1); (1, 64); (64, 1); (65, 0); (0, 65); (max_int, 1) ]
+
 let () =
   Alcotest.run "dputil"
     [
@@ -452,6 +524,13 @@ let () =
             test_histogram_nan_and_infinite;
           Alcotest.test_case "render" `Quick test_histogram_render;
           qcheck prop_histogram_conserves_samples;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "known answers" `Quick test_crc_known_answers;
+          Alcotest.test_case "bytes_sub window" `Quick test_crc_bytes_sub_window;
+          Alcotest.test_case "bytes_sub bounds" `Quick test_crc_bytes_sub_bounds;
+          qcheck prop_crc_chaining;
         ] );
       ( "table",
         [
