@@ -433,9 +433,21 @@ let a2 () =
 
 let r1 () =
   section "R1 - Bootstrap confidence intervals for the headline metrics";
+  let partials =
+    timed "per-stream partials (in-memory store)" (fun () ->
+        let snap =
+          Dpcore.Snapshot.create
+            ~fingerprint:
+              (Dpcore.Snapshot.fingerprint ~components:drivers
+                 ~specs:corpus.Dptrace.Corpus.specs ~k:Mining.default_k ())
+            ()
+        in
+        Dpcore.Snapshot.ensure ~pool:bench_pool snap drivers corpus;
+        Pipeline.stream_impacts_snap snap corpus)
+  in
   let r =
     timed "bootstrap (200 replicates)" (fun () ->
-        Dpcore.Robustness.bootstrap ~pool:bench_pool drivers corpus)
+        Dpcore.Robustness.bootstrap partials)
   in
   Format.printf "%a@." Dpcore.Robustness.pp r;
   Printf.printf

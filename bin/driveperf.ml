@@ -238,11 +238,12 @@ let cache_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
-(* --- the analysis session: pool, screened corpus and optional cache ---
+(* --- the analysis session: pool, screened corpus and optional store ---
 
    What impact, report and analyze share. Each result those commands
    print has one accessor below, and it is the one place that chooses
-   between the snapshot (with --cache) and a fresh computation. *)
+   between the snapshot store and a fresh computation. impact and report
+   use a store only with --cache; analyze always does (DESIGN.md §16). *)
 
 type session = {
   pool : Dppar.Pool.t;
@@ -253,35 +254,39 @@ type session = {
 }
 
 (* Open the pool, load and screen the corpus, and run [f] on the session.
-   With --cache, open the cache for this configuration and ensure entries
-   for the corpus (analysing misses in parallel) before [f], and write
-   the cache back after. *)
-let with_session ~cache ~components ~j ~mode corpus_path f =
+   With --cache, or with [store] (an in-memory store, no file), open the
+   store for this configuration and ensure entries for the corpus
+   (analysing misses in parallel) before [f]; write a --cache store back
+   after. *)
+let with_session ?(store = false) ~cache ~components ~j ~mode corpus_path f =
   with_cli_pool j @@ fun pool ->
   let corpus, coverage = screen_corpus (read_corpus ~pool ~mode corpus_path) in
   let run snap = f { pool; components; corpus; coverage; snap } in
-  match cache with
-  | None -> run None
-  | Some dir ->
+  if cache = None && not store then run None
+  else begin
     let fingerprint =
       Dpcore.Snapshot.fingerprint ~components
         ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ()
     in
-    let snap = Dpcore.Snapshot.create ~dir ~fingerprint () in
+    let snap = Dpcore.Snapshot.create ?dir:cache ~fingerprint () in
     Dpcore.Snapshot.ensure ~pool snap components corpus;
     let r = run (Some snap) in
-    Dpcore.Snapshot.save snap;
-    let s = Dpcore.Snapshot.stats snap in
-    Dpobs.Log.info
-      "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d dropped, \
-       mining %d hit(s) / %d miss(es), saved %d record(s) reused / %d \
-       encoded"
-      dir s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
-      s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
-      s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
-      s.Dpcore.Snapshot.s_mining_misses s.Dpcore.Snapshot.s_reused
-      s.Dpcore.Snapshot.s_encoded;
+    Option.iter
+      (fun dir ->
+        Dpcore.Snapshot.save snap;
+        let s = Dpcore.Snapshot.stats snap in
+        Dpobs.Log.info
+          "cache %s: %d hit(s), %d miss(es), %d stale, %d loaded, %d \
+           dropped, mining %d hit(s) / %d miss(es), saved %d record(s) \
+           reused / %d encoded"
+          dir s.Dpcore.Snapshot.s_hits s.Dpcore.Snapshot.s_misses
+          s.Dpcore.Snapshot.s_stale s.Dpcore.Snapshot.s_loaded
+          s.Dpcore.Snapshot.s_dropped s.Dpcore.Snapshot.s_mining_hits
+          s.Dpcore.Snapshot.s_mining_misses s.Dpcore.Snapshot.s_reused
+          s.Dpcore.Snapshot.s_encoded)
+      cache;
     r
+  end
 
 (* Whole-corpus impact and its provenance (empty unless enabled). *)
 let session_impact s =
@@ -1395,7 +1400,7 @@ let timeline_cmd =
 
 (* The Markdown analyst report. *)
 let analyze_markdown obs s ~corpus_path ~top_patterns_n =
-  let pool = s.pool and components = s.components and corpus = s.corpus in
+  let components = s.components and corpus = s.corpus in
   let buf = Buffer.create 65536 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   let block text =
@@ -1430,9 +1435,14 @@ let analyze_markdown obs s ~corpus_path ~top_patterns_n =
        (Dpcore.Report.scenario_impacts (session_scenario_impacts s)));
   line "### Robustness";
   line "";
+  let partials =
+    match s.snap with
+    | Some snap -> Dpcore.Pipeline.stream_impacts_snap snap corpus
+    | None -> assert false (* [analyze] always opens a store *)
+  in
   block
     (Format.asprintf "%a" Dpcore.Robustness.pp
-       (Dpcore.Robustness.bootstrap ~pool components corpus));
+       (Dpcore.Robustness.bootstrap partials));
   line "## Causality analysis";
   (* Analyse every scenario with a spec and both classes non-empty. *)
   let scenario_results =
@@ -1491,8 +1501,8 @@ let analyze corpus_path out json top_patterns_n cache j mode faults obs =
   with_obs obs @@ fun () ->
   with_faults faults @@ fun () ->
   if json then Dpcore.Provenance.enable ();
-  with_session ~cache ~components:Dpcore.Component.drivers ~j ~mode
-    corpus_path
+  with_session ~store:true ~cache ~components:Dpcore.Component.drivers ~j
+    ~mode corpus_path
   @@ fun s ->
   let write =
     if json then
@@ -1700,7 +1710,7 @@ let monitor_cmd =
   in
   let window =
     Arg.(
-      value & opt int 8
+      value & opt (int_at_least 1) 8
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Rolling window: the N most recently arrived corpus files \
@@ -1708,7 +1718,7 @@ let monitor_cmd =
   in
   let top_patterns =
     Arg.(
-      value & opt int 10
+      value & opt (int_at_least 0) 10
       & info [ "top-patterns" ] ~docv:"N"
           ~doc:
             "Baseline depth: diff only the N top-ranked mined patterns \
@@ -1716,7 +1726,7 @@ let monitor_cmd =
   in
   let replicates =
     Arg.(
-      value & opt int 200
+      value & opt (int_at_least 1) 200
       & info [ "replicates" ] ~docv:"N"
           ~doc:"Bootstrap replicates for the drift confidence interval.")
   in

@@ -220,6 +220,13 @@ let run_impact_prov_snap snapshot corpus =
   fold_entries snapshot corpus ~init:no_impact ~merge:(merge_impact_prov ())
     ~of_entry:Snapshot.entry_impact_prov
 
+(* Per-stream impacts, unmerged, in corpus stream order: the partials
+   the bootstrap resamples. *)
+let stream_impacts_snap snapshot (corpus : Dptrace.Corpus.t) =
+  List.map
+    (fun st -> fst (Snapshot.entry_impact_prov (Snapshot.entry snapshot st)))
+    corpus.Dptrace.Corpus.streams
+
 let modules_snap snapshot corpus =
   fold_entries snapshot corpus ~init:[] ~merge:Impact.merge_modules
     ~of_entry:Snapshot.entry_modules

@@ -122,6 +122,11 @@ val run_impact_prov_snap :
   Snapshot.t -> Dptrace.Corpus.t -> Impact.result * Provenance.impact
 (** Cached {!run_impact_prov}. *)
 
+val stream_impacts_snap : Snapshot.t -> Dptrace.Corpus.t -> Impact.result list
+(** The per-stream impact partials themselves, unmerged, in corpus stream
+    order: what {!Robustness.bootstrap} resamples. Merging them gives
+    [fst (run_impact_prov_snap snapshot corpus)]. *)
+
 val modules_snap : Snapshot.t -> Dptrace.Corpus.t -> Impact.module_row list
 (** Cached equivalent of {!Impact.by_module} over every instance's graph
     (what [report --json] embeds). *)

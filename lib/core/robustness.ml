@@ -1,5 +1,3 @@
-module Wait_graph = Dpwaitgraph.Wait_graph
-
 type ci = { point : float; mean : float; lo : float; hi : float }
 
 type t = {
@@ -10,22 +8,7 @@ type t = {
   replicates : int;
 }
 
-let per_stream_results ?pool components (corpus : Dptrace.Corpus.t) =
-  let measure (st : Dptrace.Stream.t) =
-    let index = Dptrace.Stream.shared_index st in
-    let graphs =
-      List.map (Wait_graph.build ~index st) st.Dptrace.Stream.instances
-    in
-    Impact.analyze_graphs components graphs
-  in
-  match pool with
-  | Some pool -> Dppar.Pool.parallel_map pool measure corpus.Dptrace.Corpus.streams
-  | None -> List.map measure corpus.Dptrace.Corpus.streams
-
-let merge_all = function
-  | [] ->
-    Impact.analyze_graphs Component.drivers [] (* the empty result *)
-  | r :: rest -> List.fold_left Impact.merge r rest
+let merge_all = List.fold_left Impact.merge Impact.empty
 
 let ci_of point samples =
   {
@@ -35,10 +18,13 @@ let ci_of point samples =
     hi = Dputil.Stats.percentile samples 97.5;
   }
 
-let bootstrap ?pool ?(replicates = 200) ?(seed = 1) components corpus =
-  let per_stream = Array.of_list (per_stream_results ?pool components corpus) in
+let bootstrap ?(replicates = 200) ?(seed = 1) partials =
+  if replicates < 1 then
+    invalid_arg
+      (Printf.sprintf "Robustness.bootstrap: replicates %d < 1" replicates);
+  let per_stream = Array.of_list partials in
   let n = Array.length per_stream in
-  let full = merge_all (Array.to_list per_stream) in
+  let full = merge_all partials in
   let prng = Dputil.Prng.of_int seed in
   let samples_wait = Array.make replicates 0.0 in
   let samples_run = Array.make replicates 0.0 in

@@ -5,8 +5,9 @@
     intervals: trace streams are resampled with replacement and the impact
     metrics recomputed per replicate. Resampling at stream granularity is
     sound because the distinct-wait deduplication never crosses streams —
-    a per-stream {!Impact.result} can be computed once and replicates are
-    cheap merges. *)
+    a per-stream {!Impact.result} is computed once (it is what the
+    snapshot store keeps per stream) and replicates are cheap merges.
+    This module builds no wait graph. *)
 
 type ci = {
   point : float;  (** Metric on the full corpus. *)
@@ -23,18 +24,17 @@ type t = {
   replicates : int;
 }
 
-val bootstrap :
-  ?pool:Dppar.Pool.t ->
-  ?replicates:int ->
-  ?seed:int ->
-  Component.t ->
-  Dptrace.Corpus.t ->
-  t
-(** [replicates] defaults to 200; [seed] (default 1) makes the resampling
-    deterministic. [pool] parallelises the per-stream measurement (the
-    replicate merges are cheap and stay sequential, so results are
-    identical with and without it). IA metrics are expressed as fractions in [\[0,1\]].
-    With an empty corpus every interval degenerates to 0. *)
+val bootstrap : ?replicates:int -> ?seed:int -> Impact.result list -> t
+(** Bootstrap over per-stream partials: one {!Impact.result} per trace
+    stream, in a fixed order (the pipeline reads them from a
+    {!Snapshot.t} in corpus stream order, see
+    {!Pipeline.stream_impacts_snap}). The point estimates are those of
+    all partials merged; each replicate merges [n] partials drawn with
+    replacement. [replicates] defaults to 200; [seed] (default 1) makes
+    the resampling deterministic, so equal partials in equal order give
+    equal intervals. IA metrics are expressed as fractions in [\[0,1\]].
+    With no partials every interval degenerates to 0.
+    @raise Invalid_argument if [replicates < 1]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -678,23 +678,35 @@ let save t =
         incr encoded;
         k
     in
-    (* Sorted keys: the file is a pure function of its contents. *)
-    let sorted tbl =
+    (* Sorted keys: the file is a pure function of its contents. Only
+       live records are written: entries some [ensure] on [t] referenced,
+       and the mining records of scenarios those streams contain.
+       Anything else is stale, and dropping it here keeps the file from
+       growing with every stream the corpus ever dropped. *)
+    let sorted tbl ~live =
       List.sort
         (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold (fun k slot acc -> (k, slot) :: acc) tbl [])
+        (Hashtbl.fold
+           (fun k slot acc -> if live k then (k, slot) :: acc else acc)
+           tbl [])
     in
     let records =
       Mutex.protect t.lock @@ fun () ->
-      List.map
-        (fun (key, slot) -> (key, kept_of slot write_entry))
-        (sorted t.entries)
+      let entries = sorted t.entries ~live:(Hashtbl.mem t.used) in
+      let scenarios = Hashtbl.create 16 in
+      List.iter
+        (fun (_, slot) ->
+          List.iter
+            (fun (name, _) -> Hashtbl.replace scenarios name ())
+            slot.value.e_scenarios)
+        entries;
+      List.map (fun (key, slot) -> (key, kept_of slot write_entry)) entries
       @ List.map
           (fun (name, slot) ->
             ( scen_prefix ^ name,
               kept_of slot (fun buf (digest, mining) ->
                   write_scen_record buf ~digest mining) ))
-          (sorted t.scenarios)
+          (sorted t.scenarios ~live:(Hashtbl.mem scenarios))
     in
     t.reused <- t.reused + !reused;
     t.encoded <- t.encoded + !encoded;

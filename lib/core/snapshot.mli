@@ -110,12 +110,16 @@ val entry : t -> Dptrace.Stream.t -> entry
     @raise Invalid_argument for a stream never ensured. *)
 
 val save : t -> unit
-(** Write every entry back to [dir/<fingerprint>.dpsnap] (creating [dir]
-    if needed) via a temp file and atomic rename. Entries are written in
-    sorted key order: the file is a pure function of its contents. A
-    record loaded intact, or serialised by an earlier save of [t], is
-    written from the bytes it keeps; only the others are serialised. So a
-    save of an unchanged store reproduces the file it was loaded from.
+(** Write the live records to [dir/<fingerprint>.dpsnap] (creating [dir]
+    if needed) via a temp file and atomic rename: the entries of streams
+    some {!ensure} on [t] referenced, and the mining records of the
+    scenarios those streams contain. Stale entries (see {!stats}) and
+    the mining records of vanished scenarios are pruned. Records are
+    written in sorted key order: the file is a pure function of its
+    contents. A record loaded intact, or serialised by an earlier save
+    of [t], is written from the bytes it keeps; only the others are
+    serialised. So a save of an unchanged store reproduces the file it
+    was loaded from.
     No-op for in-memory snapshots. *)
 
 (** {1 Scenario mining cache} *)

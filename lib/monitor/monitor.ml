@@ -49,8 +49,12 @@ type lfile = {
   mutable f_size : int;
 }
 
+(* The previous analysed window. [b_impacts] are its per-stream impact
+   partials, read from the store at the tick that analysed it: a later
+   tick may open a new store (the specs changed), which holds no entries
+   for the old window's streams. *)
 type baseline = {
-  b_corpus : Corpus.t;
+  b_impacts : Impact.result list;
   b_patterns : (string * Mining.pattern list) list;
   mutable b_ci : Robustness.t option;  (* computed once, on demand *)
 }
@@ -295,8 +299,8 @@ let baseline_ci t b =
   | Some ci -> ci
   | None ->
     let ci =
-      Robustness.bootstrap ?pool:t.pool ~replicates:t.config.replicates
-        ~seed:t.config.seed t.config.components b.b_corpus
+      Robustness.bootstrap ~replicates:t.config.replicates
+        ~seed:t.config.seed b.b_impacts
     in
     b.b_ci <- Some ci;
     ci
@@ -393,6 +397,10 @@ let evaluate_relative t b impact patterns =
 
 (* --- the tick --- *)
 
+(* One span per tick step; free while spans are off, which they are
+   unless the embedding process switches them on. *)
+let span = Dpobs.Span.with_span
+
 let status_line t =
   Printf.sprintf "monitor: tick %d | window %d file(s), %d stream(s) | %d alert(s)"
     t.tick_count
@@ -460,14 +468,22 @@ let tick t =
   let relative, views =
     if not changed then ([], [])
     else begin
-      let n_files, corpus = window_corpus t in
-      let snap = snapshot_for t corpus in
-      Snapshot.ensure ?pool:t.pool snap t.config.components corpus;
-      let impact, _ = Pipeline.run_impact_prov_snap snap corpus in
-      let results =
-        Pipeline.run_all_snap ?pool:t.pool ~k:t.config.k snap corpus
+      let n_files, corpus = span "monitor.window" (fun () -> window_corpus t) in
+      let snap =
+        span "monitor.ensure" (fun () ->
+            let snap = snapshot_for t corpus in
+            Snapshot.ensure ?pool:t.pool snap t.config.components corpus;
+            snap)
       in
-      Snapshot.save snap;
+      let impact, impacts =
+        span "monitor.impact" (fun () ->
+            ( fst (Pipeline.run_impact_prov_snap snap corpus),
+              Pipeline.stream_impacts_snap snap corpus ))
+      in
+      let results =
+        span "monitor.scenarios" (fun () ->
+            Pipeline.run_all_snap ?pool:t.pool ~k:t.config.k snap corpus)
+      in
       (* Full ranked lists: the baseline keeps everything mined so
          top-K boundary churn can't fake [Appeared]; the cap applies to
          the claiming side inside [pattern_alerts]. *)
@@ -480,25 +496,28 @@ let tick t =
       M.set t.m_window_files n_files;
       M.set t.m_window_streams (Corpus.stream_count corpus);
       M.set t.m_window_instances (Corpus.instance_count corpus);
-      List.iter
-        (fun (scn, r) ->
-          M.set
-            (M.gauge
-               (M.labelled "monitor.scenario_ia_wait_ppm"
-                  [ ("scenario", scn) ]))
-            (int_of_float ((Impact.ia_wait r *. 1e6) +. 0.5)))
-        (Pipeline.impact_per_scenario_snap snap corpus);
+      span "monitor.scenario_gauges" (fun () ->
+          List.iter
+            (fun (scn, r) ->
+              M.set
+                (M.gauge
+                   (M.labelled "monitor.scenario_ia_wait_ppm"
+                      [ ("scenario", scn) ]))
+                (int_of_float ((Impact.ia_wait r *. 1e6) +. 0.5)))
+            (Pipeline.impact_per_scenario_snap snap corpus));
       let out =
-        match t.baseline with
-        | None -> []  (* first analysed tick: establish, don't compare *)
-        | Some b -> evaluate_relative t b impact patterns
+        span "monitor.rules" (fun () ->
+            match t.baseline with
+            | None -> []  (* first analysed tick: establish, don't compare *)
+            | Some b -> evaluate_relative t b impact patterns)
       in
       t.baseline <-
-        Some { b_corpus = corpus; b_patterns = patterns; b_ci = None };
+        Some { b_impacts = impacts; b_patterns = patterns; b_ci = None };
       (* Every alerted scenario gets an openable view bundle next to the
          JSONL log: Perfetto trace of the slow/fast exemplars plus the
          differential flame views of the offending window. *)
       let views =
+        span "monitor.views" @@ fun () ->
         match t.config.view_dir with
         | None -> []
         | Some vdir ->
@@ -523,6 +542,7 @@ let tick t =
                      (List.length b.Dpviz.Bundle.files);
                    Some (scn, dir))
       in
+      span "monitor.save" (fun () -> Snapshot.save snap);
       (out, views)
     end
   in

@@ -45,7 +45,10 @@ type config = {
           Membership is still checked against {e everything} the
           baseline window mined, so rank churn across the top-N
           boundary never counts as [Appeared]. *)
-  replicates : int;  (** Bootstrap replicates for the drift CI. *)
+  replicates : int;
+      (** Bootstrap replicates for the drift CI, at least 1
+          ({!Dpcore.Robustness.bootstrap} raises [Invalid_argument]
+          otherwise). *)
   seed : int;  (** Bootstrap seed. *)
   mode : Dptrace.Codec_v2.mode;  (** Corpus decode mode. *)
   cache_dir : string option;
@@ -108,7 +111,11 @@ val tick : t -> Rules.alert list
     rewrite the exposition. A tick with no pending changes skips the
     analysis entirely and raises no relative alerts. The first
     analysed tick establishes the baseline and raises no relative
-    alerts either. *)
+    alerts either. The baseline keeps the window's per-stream impacts,
+    read from the store at this tick, for the next tick's drift CI.
+    Each step runs in a {!Dpobs.Span} ([monitor.window], [.ensure],
+    [.impact], [.scenarios], [.scenario_gauges], [.rules], [.views],
+    [.save]), recorded when the process switches spans on. *)
 
 val ticks : t -> int
 val alerts_total : t -> int

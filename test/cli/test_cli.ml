@@ -70,6 +70,14 @@ let unwritable name args =
   Alcotest.test_case name `Quick
     (expect_failure ~code:1 ~message:"No such file or directory" args)
 
+(* A replay manifest for the monitor's option checks: one file, one
+   tick. *)
+let manifest =
+  let path = Filename.concat dir "replay.manifest" in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "clock 0\nadd %s\ntick\n" corpus);
+  path
+
 (* --- stress matrix ---
 
    Every analysis command, run at -j 1 and -j 4, with telemetry off and
@@ -171,7 +179,21 @@ let () =
           Alcotest.test_case "causality -k 0" `Quick
             (expect_failure ~code:124 ~message:"expected an integer >= 1"
                [ "causality"; scenario; "-k"; "0"; "-c"; corpus ]);
-        ] );
+        ]
+        @ List.map
+            (fun (opt, value) ->
+              Alcotest.test_case (Printf.sprintf "monitor %s=%s" opt value)
+                `Quick
+                (expect_failure ~code:124
+                   ~message:(Printf.sprintf "'%s': invalid value" opt)
+                   [ "monitor"; opt ^ "=" ^ value; "--replay"; manifest ]))
+            [
+              ("--replicates", "-1");
+              ("--replicates", "0");
+              ("--window", "0");
+              ("--window", "-1");
+              ("--top-patterns", "-1");
+            ] );
       ( "unwritable paths",
         [
           unwritable "generate -o"

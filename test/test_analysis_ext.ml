@@ -198,9 +198,38 @@ let test_witnesses_absent_pattern () =
 
 (* --- bootstrap robustness --- *)
 
+(* The per-stream impact partials of [corpus], read from an in-memory
+   store the way driveperf analyze and the monitor read them. *)
+let store_partials corpus =
+  let components = Dpcore.Component.drivers in
+  let snap =
+    Dpcore.Snapshot.create
+      ~fingerprint:
+        (Dpcore.Snapshot.fingerprint ~components
+           ~specs:corpus.Dptrace.Corpus.specs ~k:Dpcore.Mining.default_k ())
+      ()
+  in
+  Dpcore.Snapshot.ensure snap components corpus;
+  Dpcore.Pipeline.stream_impacts_snap snap corpus
+
+(* Reference oracle: the per-stream impact fold written out directly —
+   every instance's wait graph, measured one stream at a time. *)
+let reference_partials components (corpus : Dptrace.Corpus.t) =
+  List.map
+    (fun (st : Dptrace.Stream.t) ->
+      let index = Dptrace.Stream.shared_index st in
+      Dpcore.Impact.analyze_graphs components
+        (List.map
+           (Dpwaitgraph.Wait_graph.build ~index st)
+           st.Dptrace.Stream.instances))
+    corpus.Dptrace.Corpus.streams
+
+let bootstrap ?replicates ?seed corpus =
+  Dpcore.Robustness.bootstrap ?replicates ?seed (store_partials corpus)
+
 let test_bootstrap_basic () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.05) in
-  let r = Dpcore.Robustness.bootstrap ~replicates:50 Dpcore.Component.drivers corpus in
+  let r = bootstrap ~replicates:50 corpus in
   check Alcotest.int "replicates recorded" 50 r.Dpcore.Robustness.replicates;
   (* Point estimates must match the direct analysis... *)
   let direct, _ = Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers corpus in
@@ -223,21 +252,43 @@ let test_bootstrap_basic () =
 
 let test_bootstrap_deterministic () =
   let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.03) in
-  let a = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:7 Dpcore.Component.drivers corpus in
-  let b = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:7 Dpcore.Component.drivers corpus in
+  let a = bootstrap ~replicates:30 ~seed:7 corpus in
+  let b = bootstrap ~replicates:30 ~seed:7 corpus in
   check (Alcotest.float 1e-12) "same lo"
     a.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo
     b.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo;
-  let c = Dpcore.Robustness.bootstrap ~replicates:30 ~seed:8 Dpcore.Component.drivers corpus in
+  let c = bootstrap ~replicates:30 ~seed:8 corpus in
   check Alcotest.bool "different seed differs" true
     (a.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo
     <> c.Dpcore.Robustness.ia_wait.Dpcore.Robustness.lo)
 
 let test_bootstrap_empty () =
   let corpus = Dptrace.Corpus.create ~streams:[] ~specs:[] in
-  let r = Dpcore.Robustness.bootstrap ~replicates:10 Dpcore.Component.drivers corpus in
+  let r = bootstrap ~replicates:10 corpus in
   check (Alcotest.float 1e-9) "degenerate" 0.0
     r.Dpcore.Robustness.ia_wait.Dpcore.Robustness.hi
+
+let test_bootstrap_store_matches_reference () =
+  let corpus = Dpworkload.Corpus_gen.generate (Dpworkload.Corpus_gen.scaled 0.05) in
+  let stored = store_partials corpus in
+  let reference = reference_partials Dpcore.Component.drivers corpus in
+  check Alcotest.bool "partials equal the reference fold" true
+    (stored = reference);
+  let a = Dpcore.Robustness.bootstrap ~replicates:40 ~seed:3 stored in
+  let b = Dpcore.Robustness.bootstrap ~replicates:40 ~seed:3 reference in
+  check Alcotest.bool "equal intervals" true (a = b);
+  (* The merged partials are the whole-corpus impact. *)
+  let direct, _ = Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers corpus in
+  check Alcotest.bool "merge = whole corpus" true
+    (List.fold_left Dpcore.Impact.merge Dpcore.Impact.empty stored = direct)
+
+let test_bootstrap_rejects_no_replicates () =
+  List.iter
+    (fun replicates ->
+      match Dpcore.Robustness.bootstrap ~replicates [] with
+      | _ -> Alcotest.failf "replicates %d accepted" replicates
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 let () =
   Alcotest.run "analysis-ext"
@@ -269,5 +320,9 @@ let () =
           Alcotest.test_case "bootstrap basics" `Quick test_bootstrap_basic;
           Alcotest.test_case "deterministic" `Quick test_bootstrap_deterministic;
           Alcotest.test_case "empty corpus" `Quick test_bootstrap_empty;
+          Alcotest.test_case "store partials = reference fold" `Quick
+            test_bootstrap_store_matches_reference;
+          Alcotest.test_case "replicates < 1 rejected" `Quick
+            test_bootstrap_rejects_no_replicates;
         ] );
     ]

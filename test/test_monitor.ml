@@ -390,6 +390,114 @@ let test_tail_exhaustion_recovers () =
     (List.length
        (List.filter (fun a -> a.Rules.a_rule = "parse_failure") alerts))
 
+(* --- the baseline outlives its store --- *)
+
+(* With a one-file window, the second tick's file carries other specs,
+   so the tick opens a new store that holds nothing of the first
+   window. The drift rule must still be evaluated against the first
+   window's impacts, kept with the baseline, and must not raise. *)
+let test_specs_change_keeps_baseline () =
+  let fixture_dir = Lazy.force fixture in
+  let dir = fresh_dir () in
+  let calm, _ =
+    Codec_v2.load ~mode:`Strict (Filename.concat fixture_dir "calm1.dpf")
+  in
+  let slow, _ =
+    Codec_v2.load ~mode:`Strict (Filename.concat fixture_dir "slow.dpf")
+  in
+  let respec = Filename.concat dir "slow_respec.dpf" in
+  Codec_v2.save respec
+    (Dptrace.Corpus.create ~streams:slow.Dptrace.Corpus.streams
+       ~specs:
+         (List.map
+            (fun (s : Dptrace.Scenario.spec) ->
+              { s with Dptrace.Scenario.tslow = s.Dptrace.Scenario.tslow + 1 })
+            slow.Dptrace.Corpus.specs));
+  let t = Monitor.create { (config ~dir ~tag:"respec") with window = 1 } in
+  Fun.protect ~finally:(fun () -> Monitor.close t) @@ fun () ->
+  Monitor.set_clock t 0;
+  let ingest path =
+    match Monitor.ingest t ~mtime_ms:(Monitor.now_ms t) path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "ingest: %s" e
+  in
+  ingest (Filename.concat fixture_dir "calm1.dpf");
+  ignore (Monitor.tick t : Rules.alert list);
+  Monitor.advance_clock t 1000;
+  ingest respec;
+  let alerts = Monitor.tick t in
+  (match Monitor.snapshot_stats t with
+  | Some s ->
+    check Alcotest.int "the second window ran on a new store" 0
+      s.Dpcore.Snapshot.s_hits
+  | None -> Alcotest.fail "snapshot should exist after an analysed tick");
+  let drifts =
+    List.filter (fun a -> a.Rules.a_rule = "ia_drift_wait") alerts
+  in
+  check Alcotest.int "the drift rule fired" 1 (List.length drifts);
+  let baseline, _ =
+    Dpcore.Pipeline.run_impact_prov Dpcore.Component.drivers calm
+  in
+  match (List.hd drifts).Rules.a_data with
+  | Dputil.Jsonw.Obj data -> (
+    match List.assoc "point" data with
+    | Dputil.Jsonw.Float point ->
+      check (Alcotest.float 1e-12) "CI point is the first window's IA_wait"
+        (Dpcore.Impact.ia_wait baseline) point
+    | _ -> Alcotest.fail "point should be a float")
+  | _ -> Alcotest.fail "drift data should be an object"
+
+(* --- tick spans --- *)
+
+let tick_spans =
+  [
+    "monitor.window"; "monitor.ensure"; "monitor.impact"; "monitor.scenarios";
+    "monitor.scenario_gauges"; "monitor.rules"; "monitor.views";
+    "monitor.save";
+  ]
+
+(* With spans switched on in-process, every analysed tick records one
+   span per step, and every span that opens also closes. *)
+let test_tick_spans () =
+  let fixture_dir = Lazy.force fixture in
+  let dir = fresh_dir () in
+  let t = Monitor.create (config ~dir ~tag:"spans") in
+  Dpobs.Span.clear ();
+  Dpobs.enable ~spans:true ();
+  Fun.protect
+    ~finally:(fun () ->
+      Monitor.close t;
+      Dpobs.disable ();
+      Dpobs.enable ~spans:false ~metrics:true ();
+      Dpobs.Span.clear ())
+  @@ fun () ->
+  Monitor.set_clock t 0;
+  List.iter
+    (fun name ->
+      (match Monitor.ingest t ~mtime_ms:0 (Filename.concat fixture_dir name) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "ingest: %s" e);
+      ignore (Monitor.tick t : Rules.alert list))
+    [ "calm1.dpf"; "slow.dpf" ];
+  let events = Dpobs.Span.events () in
+  let count name phase =
+    List.length
+      (List.filter
+         (fun (e : Dpobs.Span.event) ->
+           e.Dpobs.Span.name = name && e.Dpobs.Span.phase = phase)
+         events)
+  in
+  List.iter
+    (fun name ->
+      check Alcotest.int (name ^ ": one span per analysed tick") 2
+        (count name Dpobs.Span.B);
+      check Alcotest.int (name ^ ": B/E balanced") (count name Dpobs.Span.B)
+        (count name Dpobs.Span.E))
+    tick_spans;
+  let bs = List.filter (fun e -> e.Dpobs.Span.phase = Dpobs.Span.B) events in
+  check Alcotest.int "all spans balanced" (List.length bs)
+    (List.length events - List.length bs)
+
 let () =
   Alcotest.run "monitor"
     [
@@ -406,7 +514,11 @@ let () =
             test_regression_alert;
           Alcotest.test_case "parse failure and ingest lag" `Quick
             test_parse_failure_and_lag;
+          Alcotest.test_case "specs change: drift against the old baseline"
+            `Slow test_specs_change_keeps_baseline;
         ] );
+      ( "spans",
+        [ Alcotest.test_case "one span per tick step" `Slow test_tick_spans ] );
       ( "incremental",
         [
           Alcotest.test_case "warm ticks hit the snapshot" `Slow

@@ -520,6 +520,41 @@ let test_corrupt_record_healed_by_save () =
   check Alcotest.int "cache verify finds no damage" 0
     (Snapshot.inspect path).Snapshot.fi_corrupt
 
+(* A save writes only what this run used: after a store for A∪B is
+   reused over A alone, the file is the one a cold run over A writes,
+   and reopening it over A finds nothing stale. *)
+let test_save_prunes_stale_records () =
+  let full = gen 0.04 in
+  let n = List.length full.Corpus.streams in
+  let a =
+    Corpus.create
+      ~streams:(List.filteri (fun i _ -> i < n - 3) full.Corpus.streams)
+      ~specs:full.Corpus.specs
+  in
+  let dir = fresh_dir () in
+  let both = open_snap ~dir full in
+  ignore (snap_doc both full);
+  Snapshot.save both;
+  let over_a = open_snap ~dir a in
+  check Alcotest.int "B's streams are stale before the save" 3
+    (Snapshot.stats over_a).Snapshot.s_stale;
+  ignore (snap_doc over_a a);
+  Snapshot.save over_a;
+  let cold_dir = fresh_dir () in
+  let cold = open_snap ~dir:cold_dir a in
+  ignore (snap_doc cold a);
+  Snapshot.save cold;
+  check Alcotest.string "the file holds only A's records"
+    (read_bin (only_file cold_dir))
+    (read_bin (only_file dir));
+  let reopened = open_snap ~dir a in
+  let stats = Snapshot.stats reopened in
+  check Alcotest.int "no stale entries" 0 stats.Snapshot.s_stale;
+  check Alcotest.int "every stream hits" (n - 3) stats.Snapshot.s_hits;
+  check_identical ~msg:"pruned store" reopened a;
+  check Alcotest.int "every mining record still hits" 0
+    (Snapshot.stats reopened).Snapshot.s_mining_misses
+
 (* --- property: cached delta = from-scratch, random corpora and splits --- *)
 
 let prop_cached_equals_fresh =
@@ -595,6 +630,8 @@ let () =
             test_delta_save_keeps_mining_current;
           Alcotest.test_case "corrupt record re-encoded by the next save"
             `Slow test_corrupt_record_healed_by_save;
+          Alcotest.test_case "save prunes stale records" `Slow
+            test_save_prunes_stale_records;
         ] );
       ("properties", [ qcheck prop_cached_equals_fresh ]);
     ]
